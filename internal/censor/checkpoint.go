@@ -54,9 +54,8 @@ func (s *Sweep) checkpointManifest() checkpoint.Manifest {
 }
 
 // rowKey names the checkpoint unit holding one completed (window,
-// fleet) row. Rows are keyed by their stable grid id — cell i belongs
-// to row i % (windows x fleets) — never by plan-row index, which
-// cost-splitting makes Workers-dependent.
+// fleet) row, keyed by its stable grid id: cell i belongs to row
+// i % (windows x fleets).
 func rowKey(row int) string { return fmt.Sprintf("row-%03d", row) }
 
 // Run evaluates the standard result for every cell of the grid,
@@ -108,18 +107,14 @@ func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, 
 		}
 	}
 
-	// comp fires once per row when its last cell completes — across
-	// whatever cost-split segments the planner cut — on the worker that
-	// ran that cell, with the atomic decrement ordering every other
-	// segment's slot writes before the spill.
-	counts := make([]int, rows)
+	// left[r] counts row r's cells still to compute. FanRows runs each
+	// plan row on exactly one goroutine, and plan row r holds exactly the
+	// cells with i % rows == r, so this plain countdown needs no atomics
+	// and reaches zero once, on the worker that ran the row's last cell.
+	left := make([]int, rows)
 	for i := range cells {
-		if !done[i%rows] {
-			counts[i%rows]++
-		}
+		left[i%rows]++
 	}
-	comp := measure.NewCompletion(counts)
-
 	err := s.Each(ctx, func(i int, cu *Cursor) error {
 		row := i % rows
 		if done[row] {
@@ -130,7 +125,7 @@ func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, 
 			BlockingRate: cu.BlockingRate(),
 			BlacklistLen: cu.Blacklist().Len(),
 		}
-		if comp.Done(row) && store != nil {
+		if left[row]--; left[row] == 0 && store != nil {
 			saved := make([]CellResult, 0, len(s.Cfg.Days))
 			for j := row; j < len(cells); j += rows {
 				saved = append(saved, out[j])

@@ -3,10 +3,12 @@ package censor
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
+	"github.com/i2pstudy/i2pstudy/internal/obs"
 )
 
 func crashSweepConfig(workers int) SweepConfig {
@@ -43,6 +45,49 @@ func TestCrashResume(t *testing.T) {
 			return res, nil
 		},
 	}})
+}
+
+// TestSweepCheckpointSpillsEachRowOnce pins the per-row countdown that
+// decides when a row is final: an uninterrupted checkpointed run
+// commits exactly one unit per (window, fleet) row at every ladder
+// width, and each unit holds all of that row's cells in day order.
+func TestSweepCheckpointSpillsEachRowOnce(t *testing.T) {
+	n := network(t)
+	prev := obs.Active()
+	t.Cleanup(func() { obs.Enable(prev) })
+	for _, w := range enginetest.Workers() {
+		reg := obs.NewRegistry()
+		obs.Enable(reg)
+		sw, err := NewSweep(n, crashSweepConfig(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		res, err := sw.RunCheckpointed(context.Background(), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := len(sw.Cfg.Windows) * len(sw.Cfg.Fleets)
+		if got := reg.Counter("i2p_checkpoint_rows_written_total", "").Load(); got != uint64(rows) {
+			t.Fatalf("Workers=%d: %d units written, want one per row (%d)", w, got, rows)
+		}
+		store, err := checkpoint.Open(dir, sw.checkpointManifest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rows; r++ {
+			var saved, want []CellResult
+			if ok, err := store.LoadJSON(rowKey(r), &saved); err != nil || !ok {
+				t.Fatalf("Workers=%d: row %d unit missing (ok=%v, err=%v)", w, r, ok, err)
+			}
+			for i := r; i < len(res); i += rows {
+				want = append(want, res[i])
+			}
+			if !reflect.DeepEqual(saved, want) {
+				t.Fatalf("Workers=%d: row %d unit holds %v, want %v", w, r, saved, want)
+			}
+		}
+	}
 }
 
 // TestSweepRunMatchesCursorFold pins the engine-owned Run product to

@@ -91,17 +91,9 @@ func EclipseAttack(network *sim.Network, censorRouters, windowDays, injected, da
 	return res, err
 }
 
-// EclipseSweep evaluates the attack across censor fleet sizes, producing
-// the attacker-share curve.
-//
-// Deprecated: use EclipseSweepContext, the canonical ctx-taking form;
-// this shim runs it under context.Background with auto workers.
-func EclipseSweep(network *sim.Network, fleets []int, windowDays, injected, day int, seed uint64) (*stats.Figure, []EclipseResult, error) {
-	return EclipseSweepContext(context.Background(), network, fleets, windowDays, injected, day, seed, 0)
-}
-
-// EclipseSweepContext runs the eclipse sweep on the adversary engine: the
-// fleet is built once at max(fleets), cells fan out across the worker
+// EclipseSweepContext evaluates the attack across censor fleet sizes,
+// producing the attacker-share curve. It runs on the adversary engine:
+// the fleet is built once at max(fleets), cells fan out across the worker
 // pool, and the figure folds in fleet order — byte-identical for any
 // workers value.
 func EclipseSweepContext(ctx context.Context, network *sim.Network, fleets []int, windowDays, injected, day int, seed uint64, workers int) (*stats.Figure, []EclipseResult, error) {

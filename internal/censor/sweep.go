@@ -64,20 +64,14 @@ type Sweep struct {
 	Cfg    SweepConfig
 	Censor *Censor
 	Victim *Victim
-
-	// splitBudget, when positive, overrides the cost-aware planner with a
-	// fixed per-segment budget and a free seam estimate, forcing rows to
-	// split far more aggressively than the planner ever would. It exists
-	// for the seam-stitching goldens, which prove split schedules
-	// byte-identical to unsplit ones; production callers leave it zero.
-	splitBudget int
 }
 
-// NewSweep validates the grid and builds the shared adversary.
-// Non-positive windows are normalized to one day, matching NewCensor's
-// WindowDays clamp. Engine knobs ride the option shape shared with
-// distrib.NewSweep and distrib.NewTrustSweep: measure.Workers overrides
-// cfg.Workers, measure.Capture runs the capture pass before returning.
+// NewSweep validates the grid and builds the shared adversary. Every
+// day must lie inside the network's study period. Non-positive windows
+// are normalized to one day, matching NewCensor's WindowDays clamp.
+// Engine knobs ride the option shape shared with distrib.NewSweep and
+// distrib.NewTrustSweep: measure.Workers overrides cfg.Workers,
+// measure.Capture runs the capture pass before returning.
 func NewSweep(network *sim.Network, cfg SweepConfig, opts ...measure.EngineOption) (*Sweep, error) {
 	eo := measure.BuildOptions(opts...)
 	cfg.Workers = eo.WorkersOr(cfg.Workers)
@@ -91,6 +85,11 @@ func NewSweep(network *sim.Network, cfg SweepConfig, opts ...measure.EngineOptio
 		}
 		if k <= 0 {
 			return nil, fmt.Errorf("censor: need at least one monitoring router")
+		}
+	}
+	for _, day := range cfg.Days {
+		if day < 0 || day >= network.Days() {
+			return nil, fmt.Errorf("censor: sweep day %d outside the network's days [0, %d)", day, network.Days())
 		}
 	}
 	windows := make([]int, len(cfg.Windows))
@@ -195,26 +194,11 @@ func (s *Sweep) Capture(ctx context.Context) error {
 // row by day (stably — equal days share a blacklist, so order between
 // them cannot matter) guarantees its WindowCounter only ever slides
 // forward.
-//
-// Planning is cost-aware: sliding a row one day touches the entering
-// and expiring day-slices of every fleet router, so a cell's estimated
-// cost is its Fleet, and a row whose total exceeds the per-worker
-// budget is cut into segments. The seam estimate is Window x Fleet —
-// a segment's first cell starts from an empty WindowCounter, whose
-// fill is exactly the from-scratch union the rolling path is tested
-// byte-identical against — so wide-window rows, whose seams rival their
-// bodies, stay whole while cheap-seam rows stop binding tail latency.
 func (s *Sweep) rowPlan(cells []Cell) measure.RowPlan {
 	rows := len(s.Cfg.Windows) * len(s.Cfg.Fleets)
-	rowOf := func(i int) int { return i % rows }
-	key := func(i int) int { return cells[i].Day }
-	cost := func(i int) int { return cells[i].Fleet }
-	seam := func(i int) int { return cells[i].Window * cells[i].Fleet }
-	if s.splitBudget > 0 {
-		return measure.PlanRows(len(cells), rows, rowOf, key).
-			SplitRows(cost, nil, s.splitBudget)
-	}
-	return measure.PlanRowsCost(len(cells), rows, rowOf, key, cost, seam, s.Cfg.Workers)
+	return measure.PlanRows(len(cells), rows,
+		func(i int) int { return i % rows },
+		func(i int) int { return cells[i].Day })
 }
 
 // rowState is one row's rolling blacklist: a WindowCounter covering the
@@ -319,20 +303,19 @@ func (cu *Cursor) BlockedPeerFunc() func(peerIdx int) bool {
 }
 
 // Each evaluates fn for every cell of the grid. Cells are scheduled as
-// rolling rows — one (window, fleet) row (or cost-split segment of one)
-// per worker at a time, days ascending, each row sliding one
-// WindowCounter across its days (lazily, on first cursor access) — but
-// fn still receives the cell's position in Cells() order, so callers
-// write results into preallocated slots and the determinism contract of
-// measure.ObserveGrid applies unchanged: any Workers value yields
-// byte-identical results. The first error (or ctx cancellation) stops
-// the remaining cells.
+// rolling rows — one (window, fleet) row per worker at a time, days
+// ascending, each row sliding one WindowCounter across its days (lazily,
+// on first cursor access) — but fn still receives the cell's position in
+// Cells() order, so callers write results into preallocated slots and
+// the determinism contract of measure.ObserveGrid applies unchanged: any
+// Workers value yields byte-identical results. The first error (or ctx
+// cancellation) stops the remaining cells.
 //
 // The Cursor handed to fn is only valid until the callback returns: each
-// plan row reuses one Cursor across its cells (a row runs sequentially
-// on one worker), and the rows' WindowCounters return to the index's
-// pool when Each returns. Snapshotting accessors (BlockedPeerFunc)
-// remain safe to retain — they copy what they need.
+// row reuses one Cursor across its cells (a row runs sequentially on one
+// worker), and the rows' WindowCounters return to the index's pool when
+// Each returns. Snapshotting accessors (BlockedPeerFunc) remain safe to
+// retain — they copy what they need.
 func (s *Sweep) Each(ctx context.Context, fn func(i int, cu *Cursor) error) error {
 	cells := s.Cells()
 	plan := s.rowPlan(cells)

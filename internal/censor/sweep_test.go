@@ -20,6 +20,8 @@ func TestNewSweepValidation(t *testing.T) {
 		{Fleets: []int{2}, Days: []int{5}},
 		{Windows: []int{1}, Days: []int{5}},
 		{Fleets: []int{2, 0}, Windows: []int{1}, Days: []int{5}},
+		{Fleets: []int{2}, Windows: []int{1}, Days: []int{5, n.Days()}},
+		{Fleets: []int{2}, Windows: []int{1}, Days: []int{-3}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSweep(n, cfg); err == nil {
@@ -147,7 +149,7 @@ func TestFigure13MatchesReference(t *testing.T) {
 	n := network(t)
 	windows := []int{1, 5, 10}
 	ref := referenceFigure13(t, n, 8, windows, 20, 700)
-	got, err := Figure13(n, 8, windows, 20, 700)
+	got, err := Figure13Context(context.Background(), n, 8, windows, 20, 700, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

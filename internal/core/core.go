@@ -65,12 +65,6 @@ type Options struct {
 	// *checkpoint.MismatchError. Workers is excluded from the key — a
 	// study may resume at any width.
 	CheckpointDir string
-	// Retain disables the main campaign's streaming fold and keeps every
-	// pending merged day in memory, as the engine did before streaming
-	// existed. The zero value streams: campaign memory stays O(Workers)
-	// day units instead of O(Days). Both modes produce byte-identical
-	// datasets; see measure.CampaignConfig.Retain.
-	Retain bool
 }
 
 // DefaultOptions returns the 1/10-scale configuration used by tests and
@@ -150,7 +144,6 @@ func (s *Study) MainDatasetContext(ctx context.Context) (*measure.Dataset, error
 		StartDay:  0,
 		EndDay:    s.Opts.Days,
 		Workers:   s.Workers(),
-		Retain:    s.Opts.Retain,
 	})
 	if err != nil {
 		return nil, err

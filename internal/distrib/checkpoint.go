@@ -188,28 +188,26 @@ func (s *TrustSweep) RunCheckpointed(ctx context.Context, dir string) ([]TrustCe
 		}
 	}
 
-	counts := make([]int, rows)
+	// left[r] counts row r's cells still to compute. FanRows runs each
+	// plan row on exactly one goroutine, and plan row r holds exactly the
+	// cells with i % rows == r, so this plain countdown needs no atomics
+	// and reaches zero once, on the worker that ran the row's last cell.
+	left := make([]int, rows)
 	for i := range cells {
-		if !done[i%rows] {
-			counts[i%rows]++
-		}
+		left[i%rows]++
 	}
-	comp := measure.NewCompletion(counts)
-
-	plan := s.rowPlan(cells)
-	states := make([]*trustState, len(plan))
-	err := measure.FanRows(ctx, plan, s.Cfg.Workers, func(planRow, i int) error {
+	states := make([]*trustState, rows)
+	err := measure.FanRows(ctx, s.rowPlan(cells), s.Cfg.Workers, func(row, i int) error {
 		c := cells[i]
-		row := i % rows
 		if done[row] {
 			return nil // resumed row: results already loaded, no state built
 		}
-		if states[planRow] == nil {
-			states[planRow] = s.newTrustState(c.Dist, c.Enum)
+		if states[row] == nil {
+			states[row] = s.newTrustState(c.Dist, c.Enum)
 		}
-		states[planRow].advanceTo(c.Day)
-		results[i] = states[planRow].result(c)
-		if comp.Done(row) && store != nil {
+		states[row].advanceTo(c.Day)
+		results[i] = states[row].result(c)
+		if left[row]--; left[row] == 0 && store != nil {
 			saved := make([]TrustCellResult, 0, s.Cfg.HorizonDays+1)
 			for j := row; j < len(cells); j += rows {
 				saved = append(saved, results[j])

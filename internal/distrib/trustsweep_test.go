@@ -140,6 +140,35 @@ func TestTrustSweepRun(t *testing.T) {
 	}
 }
 
+// TestTrustSweepProductionPlanStaysWhole: at any pool width the plan
+// holds one row per (distributor, enumerator) pair, and plan row r is
+// exactly logical row r — the cells i with i % rows == r. The
+// checkpoint's per-row countdown relies on this to spill each row once.
+func TestTrustSweepProductionPlanStaysWhole(t *testing.T) {
+	n := network(t)
+	for _, workers := range []int{1, 4, 0} {
+		sw, err := NewTrustSweep(n, testTrustConfig(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := len(sw.Cfg.Enumerators) * len(sw.Cfg.Distributors)
+		plan := sw.rowPlan(sw.Cells())
+		if len(plan) != rows {
+			t.Fatalf("workers=%d: plan has %d rows, want %d", workers, len(plan), rows)
+		}
+		for r, row := range plan {
+			if len(row) != sw.Cfg.HorizonDays+1 {
+				t.Fatalf("workers=%d: row %d has %d cells, want %d", workers, r, len(row), sw.Cfg.HorizonDays+1)
+			}
+			for _, i := range row {
+				if i%rows != r {
+					t.Fatalf("workers=%d: cell %d planned on row %d, want %d", workers, i, r, i%rows)
+				}
+			}
+		}
+	}
+}
+
 func TestTrustSweepValidation(t *testing.T) {
 	n := network(t)
 	ts := testTrustDistributors(1)

@@ -48,16 +48,6 @@ type CampaignConfig struct {
 	// always proceeds in ascending day order, a resumed run's Dataset is
 	// byte-identical to an uninterrupted one at any Workers value.
 	CheckpointDir string
-	// Retain disables the streaming fold: the parallel engine keeps
-	// every pending merged day in memory (an unbounded reorder buffer
-	// and a day-deep channel), as it did before streaming existed. The
-	// zero value streams: completed day units fold into the fixed-size
-	// Dataset accumulators and are dropped immediately, the reorder
-	// buffer is bounded, and units arriving too far out of order are
-	// evicted to the checkpoint layer and reloaded at their fold turn —
-	// campaign memory stays O(workers) day units instead of O(days).
-	// Both modes produce byte-identical Datasets at any Workers value.
-	Retain bool
 }
 
 // DefaultObserverFleet returns the paper's main fleet: count observers at
@@ -126,6 +116,12 @@ func (c *Campaign) Run() (*Dataset, error) {
 // pipelines days: day N+1 collection overlaps day N accumulation and
 // snapshotting. Accumulation itself always proceeds in ascending day
 // order, so the resulting Dataset is identical to the serial path's.
+//
+// Both paths stream: completed day units fold into the fixed-size
+// Dataset accumulators and are dropped immediately, the parallel
+// engine's reorder buffer is bounded, and units arriving too far out of
+// order are evicted to the checkpoint layer and reloaded at their fold
+// turn — campaign memory stays O(workers) day units instead of O(days).
 func (c *Campaign) RunContext(ctx context.Context) (*Dataset, error) {
 	c.retained.Store(0)
 	c.peakRetained.Store(0)
@@ -308,18 +304,12 @@ func (c *Campaign) runParallel(ctx context.Context, ds *Dataset, snap *snapshott
 	// ahead of the fold blocks on send, throttling capture), and the
 	// reorder buffer holds at most slack units before evicting to the
 	// checkpoint layer. Together they cap resident day units at
-	// 2*workers + slack + 1 regardless of campaign length. Retained mode
-	// keeps the old day-deep channel and unbounded buffer.
-	streaming := !c.cfg.Retain
-	chCap, slack := nDays, 0
-	if streaming {
-		chCap = workers
-		slack = c.streamSlack
-		if slack <= 0 {
-			slack = workers
-		}
+	// 2*workers + slack + 1 regardless of campaign length.
+	slack := c.streamSlack
+	if slack <= 0 {
+		slack = workers
 	}
-	mergedCh := make(chan *mergedDay, chCap)
+	mergedCh := make(chan *mergedDay, workers)
 
 	// Shard maps are recycled across days: the merge stage flattens each
 	// day into a sorted record slice and immediately clears and returns
@@ -388,11 +378,11 @@ func (c *Campaign) runParallel(ctx context.Context, ds *Dataset, snap *snapshott
 		close(mergedCh)
 	}()
 
-	// In-order accumulator over the (bounded, in streaming mode) reorder
-	// buffer: merged days can arrive out of order, the Dataset fold must
-	// not. Each unit is folded into the fixed-size accumulators and
-	// dropped — or evicted to the checkpoint layer and reloaded at its
-	// turn — so the buffer never blocks and the channel always drains.
+	// In-order accumulator over the bounded reorder buffer: merged days
+	// can arrive out of order, the Dataset fold must not. Each unit is
+	// folded into the fixed-size accumulators and dropped — or evicted to
+	// the checkpoint layer and reloaded at its turn — so the buffer never
+	// blocks and the channel always drains.
 	buffer := newDayBuffer(c, store, slack)
 	defer buffer.close()
 	next := from
@@ -458,7 +448,7 @@ func shardCapture(recs []*netdb.RouterInfo, shards int) [][]*netdb.RouterInfo {
 // recs must be in canonical identity-sorted order: intern IDs are
 // assigned on first sight, so the fold order — ascending days, sorted
 // records within a day — is what makes the Dataset byte-identical across
-// worker counts, resume, and streaming/retained modes.
+// worker counts, resume, and reorder-buffer evictions.
 func (ds *Dataset) accumulateDay(db *geo.DB, day int, recs []*netdb.RouterInfo) {
 	stats := ds.day(day)
 	// Per-day distinct-address counting rides the intern table's lastMark

@@ -28,33 +28,32 @@ func runStreamCampaign(t testing.TB, n *sim.Network, cfg CampaignConfig) (*Datas
 	return ds, c
 }
 
-// TestCampaignStreamingMatchesRetained is the tentpole contract, stated
-// through the shared harness: at every ladder width the streaming engine
-// produces a Dataset identical to the retained-mode reference while its
-// peak retained-unit count stays within the structural O(workers)
-// ceiling — never O(days).
-func TestCampaignStreamingMatchesRetained(t *testing.T) {
+// TestCampaignStreamingMatchesSerial is the streaming contract, stated
+// through the shared harness: at every ladder width the campaign
+// produces a Dataset identical to the serial reference while its peak
+// retained-unit count stays within the structural O(workers) ceiling —
+// never O(days).
+func TestCampaignStreamingMatchesSerial(t *testing.T) {
 	n := parallelTestNet(t)
-	mk := func(workers int, retain bool) CampaignConfig {
+	mk := func(workers int) CampaignConfig {
 		return CampaignConfig{
 			Observers: DefaultObserverFleet(8),
 			StartDay:  0,
 			EndDay:    30,
 			Workers:   workers,
-			Retain:    retain,
 		}
 	}
 	enginetest.Stream(t, []enginetest.StreamCase{{
 		Name: "campaign",
-		RunRetained: func(t testing.TB) any {
-			ds, _ := runStreamCampaign(t, n, mk(1, true))
+		RunSerial: func(t testing.TB) any {
+			ds, _ := runStreamCampaign(t, n, mk(1))
 			if ds.TotalPeers() == 0 {
-				t.Fatal("retained reference observed nothing")
+				t.Fatal("serial reference observed nothing")
 			}
 			return ds
 		},
 		RunStreaming: func(t testing.TB, workers int) (any, int) {
-			ds, c := runStreamCampaign(t, n, mk(workers, false))
+			ds, c := runStreamCampaign(t, n, mk(workers))
 			return ds, c.MemStats().PeakRetainedUnits
 		},
 		// The pipeline holds at most: one unit per capture worker between
@@ -65,22 +64,21 @@ func TestCampaignStreamingMatchesRetained(t *testing.T) {
 	}})
 }
 
-// TestStreamingSmallSlackMatchesRetained squeezes the reorder buffer to
+// TestStreamingSmallSlackMatchesSerial squeezes the reorder buffer to
 // a single slot at an oversubscribed width, the configuration most
 // likely to force evictions through the spill store mid-run, and checks
-// the Dataset still matches the retained reference exactly. Whether a
+// the Dataset still matches the serial reference exactly. Whether a
 // given schedule actually evicts depends on merge completion order, so
 // eviction mechanics are pinned deterministically in the dayBuffer
 // tests below; this test proves that whenever they fire they are
 // invisible in the output.
-func TestStreamingSmallSlackMatchesRetained(t *testing.T) {
+func TestStreamingSmallSlackMatchesSerial(t *testing.T) {
 	n := parallelTestNet(t)
 	reference, _ := runStreamCampaign(t, n, CampaignConfig{
 		Observers: DefaultObserverFleet(8),
 		StartDay:  0,
 		EndDay:    30,
 		Workers:   1,
-		Retain:    true,
 	})
 	for _, withStore := range []bool{false, true} {
 		cfg := CampaignConfig{
@@ -102,14 +100,15 @@ func TestStreamingSmallSlackMatchesRetained(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ds, reference) {
-			t.Errorf("withStore=%v: slack-1 streaming dataset differs from retained reference", withStore)
+			t.Errorf("withStore=%v: slack-1 streaming dataset differs from the serial reference", withStore)
 		}
 		ms := c.MemStats()
 		if ms.PeakRetainedUnits > 2*8+1+1 {
 			t.Errorf("withStore=%v: peak retained units %d exceeds slack-1 ceiling", withStore, ms.PeakRetainedUnits)
 		}
-		// Retain/release must balance: a leak here means some path (the
-		// evict-reload one, historically) releases twice or not at all.
+		// retainUnit/releaseUnit must balance: a leak here means some
+		// path (the evict-reload one, historically) releases twice or
+		// not at all.
 		if got := c.retained.Load(); got != 0 {
 			t.Errorf("withStore=%v: %d retained units leaked after the run", withStore, got)
 		}

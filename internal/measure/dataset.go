@@ -25,7 +25,7 @@ import (
 // few dozen bytes per peer plus the shared intern tables. Fold order is
 // canonical (ascending day, identity-sorted within a day), so the
 // interned IDs — and therefore the whole Dataset — are byte-identical
-// across worker counts, resume, and streaming/retained modes.
+// across worker counts, resume, and reorder-buffer evictions.
 type PeerTrack struct {
 	Hash netdb.Hash
 
@@ -180,7 +180,7 @@ type addrGeo struct {
 // censor.AddrIndex. IDs are assigned in canonical fold order (ascending
 // day, identity-sorted records, RouterInfo.IPs order), so two runs over
 // the same observations build identical tables regardless of worker
-// count or streaming mode.
+// count or eviction schedule.
 type addrIntern struct {
 	ids map[netip.Addr]uint32
 	geo []addrGeo

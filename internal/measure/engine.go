@@ -277,102 +277,6 @@ func PlanRows(n, rows int, rowOf, key func(i int) int) RowPlan {
 	return plan
 }
 
-// costOf evaluates a cost estimate for one task: nil means unit cost,
-// and estimates are clamped to at least 1 so degenerate models cannot
-// produce zero-cost segments.
-func costOf(cost func(i int) int, t int) int {
-	if cost == nil {
-		return 1
-	}
-	if c := cost(t); c > 1 {
-		return c
-	}
-	return 1
-}
-
-// Cost returns the plan's total estimated cost under the given model
-// (nil: one unit per task).
-func (p RowPlan) Cost(cost func(i int) int) int {
-	total := 0
-	for _, row := range p {
-		for _, t := range row {
-			total += costOf(cost, t)
-		}
-	}
-	return total
-}
-
-// SplitRows cuts expensive rows into independent contiguous segments at
-// cost boundaries, so one long row stops binding a grid's tail latency:
-// each segment becomes its own plan row, fanned out (and stolen) like
-// any other. cost(i) estimates task i's work (nil: 1 per task). seam(i)
-// estimates the extra work a segment pays to rebuild its rolling state
-// from scratch when it starts at task i (nil: free) — the sweep engines'
-// states are exactly resumable (a fresh state advanced to a task equals
-// the rolled-forward one, the property TestTrustSweepResumesAcrossRows
-// and the from-scratch blacklist references prove), so a cut changes
-// wall-clock and recompute, never bytes.
-//
-// The greedy walk accumulates cost along each row and cuts where the
-// running segment exceeds budget — but only where the seam is worth
-// paying: a cut at task t requires seam(t) <= budget/2 (the rebuilt
-// state may eat at most half the new segment) and seam(t)+cost(t) <=
-// budget (the new segment must fit at all). Rows whose seams are as
-// expensive as their prefixes — the trust rows, where resuming replays
-// every prior day — therefore never split, falling back to whole-row
-// scheduling; cheap-seam rows (a blacklist window rebuild) split freely.
-// budget <= 0 returns the plan unchanged.
-func (p RowPlan) SplitRows(cost, seam func(i int) int, budget int) RowPlan {
-	if budget <= 0 {
-		return p
-	}
-	st := obsStats()
-	out := make(RowPlan, 0, len(p))
-	for _, row := range p {
-		start, acc := 0, 0
-		for k, t := range row {
-			c := costOf(cost, t)
-			if acc+c > budget && k > start {
-				sm := 0
-				if seam != nil {
-					sm = seam(t)
-				}
-				if sm <= budget/2 && sm+c <= budget {
-					out = append(out, row[start:k:k])
-					start, acc = k, sm
-					st.rowSplits.Inc()
-					st.seamCost.Add(uint64(sm))
-				}
-			}
-			acc += c
-		}
-		out = append(out, row[start:])
-	}
-	return out
-}
-
-// splitOversub is how many cost-budget segments PlanRowsCost aims to
-// hand each worker: 2 keeps the per-segment seam overhead bounded while
-// still leaving the steal loop slack to even out estimate error.
-const splitOversub = 2
-
-// PlanRowsCost is PlanRows with a cost model: rows are built and
-// day-sorted identically, then rows whose estimated cost exceeds the
-// per-segment budget — the grid's total cost spread over the worker pool
-// with a small oversubscription factor — are cut into independent
-// segments via SplitRows. The schedule changes; results (task-indexed
-// slots, exactly-resumable row state) do not. With one worker the plan
-// is returned unsplit: there is nobody to hand the other half to.
-func PlanRowsCost(n, rows int, rowOf, key func(i int) int, cost, seam func(i int) int, workers int) RowPlan {
-	plan := PlanRows(n, rows, rowOf, key)
-	workers = resolveWorkers(workers)
-	if workers <= 1 {
-		return plan
-	}
-	budget := (plan.Cost(cost) + workers*splitOversub - 1) / (workers * splitOversub)
-	return plan.SplitRows(cost, seam, budget)
-}
-
 // FanRows runs fn(row, task) for every task of every row across the
 // worker pool: rows fan out like FanOut tasks (contiguous runs with
 // back-stealing) and each row's tasks run sequentially in listed order

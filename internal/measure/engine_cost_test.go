@@ -103,154 +103,52 @@ func TestFanOutCancelled(t *testing.T) {
 	}
 }
 
-// TestSplitRowsCutsAtCostBoundaries: a long uniform row splits into
-// budget-sized segments whose concatenation is the original row, and
-// cheap rows stay whole.
-func TestSplitRowsCutsAtCostBoundaries(t *testing.T) {
-	long := make([]int, 12)
-	for i := range long {
-		long[i] = i
-	}
-	plan := RowPlan{long, {12, 13}}
-	got := plan.SplitRows(nil, nil, 4) // unit cost, free seam
-	want := RowPlan{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}, {12, 13}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("split = %v, want %v", got, want)
-	}
-	if got.Tasks() != plan.Tasks() {
-		t.Fatalf("split lost tasks: %d != %d", got.Tasks(), plan.Tasks())
-	}
-}
-
-// TestSplitRowsSeamGate: a seam as expensive as the prefix it would
-// skip (the trust rows' full-replay seam) blocks the cut; a cheap seam
-// admits it at the same budget.
-func TestSplitRowsSeamGate(t *testing.T) {
-	row := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	plan := RowPlan{row}
-	// Full-replay seam: resuming at task t costs t — always > budget/2
-	// once the walk wants to cut, so the row must stay whole.
-	replay := func(i int) int { return i }
-	if got := plan.SplitRows(nil, replay, 3); len(got) != 1 {
-		t.Fatalf("full-replay seam split anyway: %v", got)
-	}
-	// A unit seam is within every gate: the row splits, and each later
-	// segment's budget accounts for the seam unit (3-cost budget leaves
-	// 2 tasks after a 1-cost seam).
-	cheap := func(i int) int { return 1 }
-	got := plan.SplitRows(nil, cheap, 3)
-	want := RowPlan{{0, 1, 2}, {3, 4}, {5, 6}, {7}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cheap seam split = %v, want %v", got, want)
-	}
-}
-
-// TestSplitRowsDegenerateModels: non-positive budgets are a no-op, and
-// zero/negative cost estimates clamp to one unit instead of producing
-// unbounded segments.
-func TestSplitRowsDegenerateModels(t *testing.T) {
-	plan := RowPlan{{0, 1, 2, 3}}
-	if got := plan.SplitRows(nil, nil, 0); !reflect.DeepEqual(got, plan) {
-		t.Fatalf("budget 0 changed the plan: %v", got)
-	}
-	if got := plan.SplitRows(nil, nil, -5); !reflect.DeepEqual(got, plan) {
-		t.Fatalf("negative budget changed the plan: %v", got)
-	}
-	zero := func(i int) int { return 0 }
-	got := plan.SplitRows(zero, nil, 2) // clamped to unit cost
-	want := RowPlan{{0, 1}, {2, 3}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("zero-cost model split = %v, want %v", got, want)
-	}
-}
-
-// TestPlanRowsCostSplitsForPools: with one worker the plan comes back
-// unsplit (nobody to hand segments to); with a pool, the dominant row
-// splits under the derived budget and no task is lost or reordered.
-func TestPlanRowsCostSplitsForPools(t *testing.T) {
-	// 2 rows x 16 days, row 0 carrying 10x the cost per cell.
-	n, rows := 32, 2
-	rowOf := func(i int) int { return i % rows }
-	key := func(i int) int { return i / rows }
-	cost := func(i int) int {
-		if i%rows == 0 {
-			return 10
-		}
-		return 1
-	}
-	unsplit := PlanRowsCost(n, rows, rowOf, key, cost, nil, 1)
-	if len(unsplit) != rows {
-		t.Fatalf("workers=1 split anyway: %d rows", len(unsplit))
-	}
-	split := PlanRowsCost(n, rows, rowOf, key, cost, nil, 4)
-	if len(split) <= rows {
-		t.Fatalf("workers=4 did not split the dominant row: %d rows", len(split))
-	}
-	if split.Tasks() != n {
-		t.Fatalf("split lost tasks: %d != %d", split.Tasks(), n)
-	}
-	// Segment concatenation preserves each original row exactly.
-	concat := make(map[int][]int)
-	for _, seg := range split {
-		r := rowOf(seg[0])
-		concat[r] = append(concat[r], seg...)
-	}
-	for r, row := range PlanRows(n, rows, rowOf, key) {
-		if !reflect.DeepEqual(concat[r], []int(row)) {
-			t.Fatalf("row %d reassembles to %v, want %v", r, concat[r], row)
-		}
-	}
-	// The derived budget respects total cost: no segment exceeds it.
-	budget := (unsplit.Cost(cost) + 4*splitOversub - 1) / (4 * splitOversub)
-	for _, seg := range split {
-		if c := (RowPlan{seg}).Cost(cost); c > budget {
-			t.Fatalf("segment %v cost %d exceeds budget %d", seg, c, budget)
-		}
-	}
-}
-
-// TestFanRowsSplitPlanDeterminism: running the same rolling fold over a
-// split plan — each segment rebuilding its state from the row prefix,
-// the seam-stitching model — matches the unsplit serial reference at
-// every ladder width.
+// TestFanRowsSplitPlanDeterminism: a rolling fold over a plan split
+// across the pool — per-row state carried along the row with no locks,
+// plus the plain per-row countdown the sweep engines spill on — matches
+// a direct serial reference at every ladder width, and each row's
+// countdown reaches zero exactly once, on its last task.
 func TestFanRowsSplitPlanDeterminism(t *testing.T) {
 	n, rows := 48, 3
 	rowOf := func(i int) int { return i % rows }
 	key := func(i int) int { return i / rows }
-	base := PlanRows(n, rows, rowOf, key)
-	run := func(plan RowPlan, workers int) []int {
+	plan := PlanRows(n, rows, rowOf, key)
+	want := make([]int, n)
+	for r := 0; r < rows; r++ {
+		sum := 0
+		for i := r; i < n; i += rows {
+			sum += i
+			want[i] = sum
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 16} {
 		out := make([]int, n)
-		// Rolling state: prefix sum along the row. A segment that does
-		// not start the row stitches by replaying the prefix — the exact
-		// from-scratch reference the sweep engines use at seams.
 		states := make([]int, len(plan))
-		inited := make([]bool, len(plan))
+		left := make([]int, len(plan))
+		fired := make([]int, len(plan))
+		for r, row := range plan {
+			left[r] = len(row)
+		}
 		if err := FanRows(context.Background(), plan, workers, func(row, task int) error {
-			if !inited[row] {
-				inited[row] = true
-				for _, t2 := range base[rowOf(task)] {
-					if key(t2) >= key(task) {
-						break
-					}
-					states[row] += t2
-				}
-			}
 			states[row] += task
 			out[task] = states[row]
+			if left[row]--; left[row] == 0 {
+				fired[row]++
+				if last := plan[row][len(plan[row])-1]; task != last {
+					t.Errorf("workers=%d: row %d finished on task %d, want %d", workers, row, task, last)
+				}
+			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	serial := run(base, 1)
-	split := base.SplitRows(nil, nil, 5)
-	if len(split) <= len(base) {
-		t.Fatalf("budget 5 did not split: %d rows", len(split))
-	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		if got := run(split, workers); !reflect.DeepEqual(got, serial) {
-			t.Fatalf("split plan at workers=%d diverged from unsplit serial", workers)
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("workers=%d: rolling fold diverged from the serial reference", workers)
+		}
+		for r, f := range fired {
+			if f != 1 {
+				t.Fatalf("workers=%d: row %d countdown fired %d times", workers, r, f)
+			}
 		}
 	}
 }

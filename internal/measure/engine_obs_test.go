@@ -93,50 +93,16 @@ func findCounter(text, name string) (int, bool) {
 	return 0, false
 }
 
-func TestPlanRowsCostCountsSplitsAndSeams(t *testing.T) {
+func TestPlanRowsCountsRows(t *testing.T) {
 	r, _ := withObs(t, false)
-	// One expensive 8-task row over 4 workers: budget = ceil(8/(4*2)) = 1
-	// per segment with unit costs, so the free-seam row splits at every
-	// boundary.
-	plan := PlanRowsCost(8, 1,
-		func(i int) int { return 0 },
-		func(i int) int { return i },
-		nil, nil, 4)
-	if len(plan) < 2 {
-		t.Fatalf("row did not split: %v", plan)
+	plan := PlanRows(8, 3,
+		func(i int) int { return i % 3 },
+		func(i int) int { return i })
+	if len(plan) != 3 {
+		t.Fatalf("plan has %d rows, want 3", len(plan))
 	}
-	text := r.RenderText()
-	if !strings.Contains(text, "i2p_engine_rows_planned_total 1") {
-		t.Errorf("rows planned wrong:\n%s", text)
-	}
-	splits, ok := findCounter(text, "i2p_engine_row_splits_total")
-	if !ok || splits != len(plan)-1 {
-		t.Errorf("splits counter = %d, want %d:\n%s", splits, len(plan)-1, text)
-	}
-	// Free seams accrue zero seam cost.
-	if !strings.Contains(text, "i2p_engine_row_seam_cost_total 0") {
-		t.Errorf("seam cost should be 0 for nil seam model:\n%s", text)
-	}
-}
-
-func TestSplitRowsCountsSeamCost(t *testing.T) {
-	r, _ := withObs(t, false)
-	row := make([]int, 10)
-	for i := range row {
-		row[i] = i
-	}
-	plan := RowPlan{row}
-	// Unit cost, seam 2 per cut, budget 5: cuts are allowed (2 <= 5/2)
-	// and each accepted cut adds its seam estimate to the counter.
-	split := plan.SplitRows(nil, func(i int) int { return 2 }, 5)
-	cuts := len(split) - len(plan)
-	if cuts < 1 {
-		t.Fatalf("expected at least one cut: %v", split)
-	}
-	text := r.RenderText()
-	seam, ok := findCounter(text, "i2p_engine_row_seam_cost_total")
-	if !ok || seam != 2*cuts {
-		t.Errorf("seam cost = %d, want %d:\n%s", seam, 2*cuts, text)
+	if n, ok := findCounter(r.RenderText(), "i2p_engine_rows_planned_total"); !ok || n != 3 {
+		t.Errorf("rows planned = %d, want 3", n)
 	}
 }
 

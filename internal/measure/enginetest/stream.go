@@ -10,15 +10,15 @@ import (
 )
 
 // StreamCase is one engine scenario for the streaming-memory contract:
-// a bounded-memory (streaming) mode must produce an artifact
-// byte-identical to the unbounded (retained) reference while holding
-// provably fewer in-flight units than the grid size.
+// the bounded-memory engine must produce, at every width, an artifact
+// byte-identical to its serial reference while holding provably fewer
+// in-flight units than the grid size.
 type StreamCase struct {
 	// Name labels the subtest.
 	Name string
-	// RunRetained executes the engine's retained (unbounded reference)
-	// mode at Workers = 1 and returns the reference artifact.
-	RunRetained func(t testing.TB) any
+	// RunSerial executes the engine at Workers = 1 — the serial path,
+	// one unit resident at a time — and returns the reference artifact.
+	RunSerial func(t testing.TB) any
 	// RunStreaming executes the engine's streaming mode at the given
 	// worker count, returning the artifact and the peak number of
 	// simultaneously retained units the run observed.
@@ -33,7 +33,7 @@ type StreamCase struct {
 
 // Stream asserts the streaming-memory contract for every case across
 // the canonical worker ladder: at each width the streaming artifact is
-// reflect.DeepEqual-identical to the retained serial reference, and the
+// reflect.DeepEqual-identical to the serial reference, and the
 // engine's peak retained-unit count stays within the structural ceiling
 // MaxRetained reports. Peak accounting is asserted as a unit count, not
 // a wall-clock ReadMemStats reading, so the contract is exact and free
@@ -52,14 +52,14 @@ func Stream(t *testing.T, cases []StreamCase) {
 	})
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
-			reference := c.RunRetained(t)
+			reference := c.RunSerial(t)
 			if reference == nil {
-				t.Fatal("retained reference produced no artifact")
+				t.Fatal("serial reference produced no artifact")
 			}
 			for _, w := range Workers() {
 				got, peak := c.RunStreaming(t, w)
 				if !reflect.DeepEqual(got, reference) {
-					t.Errorf("Workers=%d: streaming artifact differs from the retained reference", w)
+					t.Errorf("Workers=%d: streaming artifact differs from the serial reference", w)
 				}
 				resolved := w
 				if resolved <= 0 {

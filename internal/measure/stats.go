@@ -17,8 +17,6 @@ type engineStats struct {
 	steals        *obs.Counter   // i2p_engine_steals_total
 	workerTasks   *obs.Histogram // i2p_engine_worker_tasks: tasks one worker ran in one FanOut
 	rowsPlanned   *obs.Counter   // i2p_engine_rows_planned_total
-	rowSplits     *obs.Counter   // i2p_engine_row_splits_total
-	seamCost      *obs.Counter   // i2p_engine_row_seam_cost_total
 }
 
 // disabledEngineStats is what obsStats() returns while no registry is
@@ -46,11 +44,7 @@ func resolveEngineStats(r *obs.Registry) *engineStats {
 		workerTasks: r.Histogram("i2p_engine_worker_tasks",
 			"Tasks one worker executed in one parallel FanOut.", workerTasksBounds),
 		rowsPlanned: r.Counter("i2p_engine_rows_planned_total",
-			"Rows laid out by PlanRows before any cost-based splitting."),
-		rowSplits: r.Counter("i2p_engine_row_splits_total",
-			"Row segments cut by SplitRows at cost boundaries."),
-		seamCost: r.Counter("i2p_engine_row_seam_cost_total",
-			"Total estimated seam-replay cost accepted by SplitRows cuts."),
+			"Rows laid out by PlanRows; each runs whole on one FanRows worker."),
 	}
 }
 

@@ -85,17 +85,17 @@ func (c *Campaign) releaseUnit(bytes int64, evicted bool) {
 }
 
 // dayBuffer is the accumulator's reorder buffer: merged days can arrive
-// out of order, the Dataset fold must not. In streaming mode the buffer
-// is bounded — when more than slack units are waiting, the
-// furthest-out day (the one folded last) is encoded and evicted to a
-// checkpoint store, and reloaded when its turn comes. The spill target
+// out of order, the Dataset fold must not. The buffer is bounded — when
+// more than slack units are waiting, the furthest-out day (the one
+// folded last) is encoded and evicted to a checkpoint store, and
+// reloaded when its turn comes. The spill target
 // is the campaign's own checkpoint store when one is configured (the
 // unit would be written there at fold time anyway, so eviction just
 // writes it early); otherwise a private temp store is created lazily
 // and removed when the run ends.
 type dayBuffer struct {
 	c     *Campaign
-	slack int // <= 0: unbounded (retained mode)
+	slack int
 
 	units   map[int]*mergedDay
 	spilled map[int]bool
@@ -121,9 +121,6 @@ func newDayBuffer(c *Campaign, store *checkpoint.Store, slack int) *dayBuffer {
 // bounded mergedCh deadlock-free: the accumulator can always drain.
 func (b *dayBuffer) put(md *mergedDay) error {
 	b.units[md.day] = md
-	if b.slack <= 0 {
-		return nil
-	}
 	for len(b.units) > b.slack {
 		if err := b.evictFurthest(); err != nil {
 			return err

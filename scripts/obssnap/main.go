@@ -8,7 +8,7 @@
 //
 // scripts/bench.sh splices these into the BENCH_*.json trajectories so
 // the steal rate and cache hit traffic are tracked alongside ns/op —
-// the counters explain a perf move (a splits spike, a cold cache) that
+// the counters explain a perf move (a steals spike, a cold cache) that
 // the timing numbers alone only show. Worker width follows GOMAXPROCS,
 // matching how the bench jobs pin cores.
 //

@@ -18,8 +18,8 @@
 #
 # STREAM_DAYS / STREAM_WORKERS / STREAM_SCALE override the grid (default
 # 40 days x 8 observers at scale 0.02, workers 4 — small enough for CI,
-# big enough that a retained-mode run would hold 10x more days than the
-# streaming ceiling allows).
+# big enough that holding every pending day would take 10x more units
+# than the streaming ceiling allows).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,7 +48,7 @@ fi
 
 # The structural ceiling: one unit per capture worker between retain and
 # channel send, one per channel slot, the default slack of one per
-# worker, and the unit being folded (see measure.CampaignConfig.Retain).
+# worker, and the unit being folded (see measure.Campaign.runParallel).
 ceiling=$((3 * workers + 1))
 if [ "$peak" -lt 1 ] || [ "$peak" -gt "$ceiling" ]; then
   echo "stream_smoke: peak retained units $peak outside [1, $ceiling]" >&2
