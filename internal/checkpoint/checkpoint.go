@@ -160,7 +160,7 @@ func (s *Store) Save(key string, data []byte) error {
 	if err := writeAtomic(s.dir, key, data); err != nil {
 		return err
 	}
-	st := ckptStats()
+	st := ckptStats.Get()
 	if st.rowsWritten != nil {
 		st.rowsWritten.Inc()
 		st.bytesSpilled.Add(uint64(len(data)))
@@ -181,7 +181,7 @@ func (s *Store) Load(key string) (data []byte, ok bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("checkpoint: %w", err)
 	}
-	st := ckptStats()
+	st := ckptStats.Get()
 	if st.rowsResumed != nil {
 		st.rowsResumed.Inc()
 	}

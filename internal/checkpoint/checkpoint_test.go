@@ -224,7 +224,7 @@ func TestObsCountersTrackSpillAndResume(t *testing.T) {
 	if _, ok, err := s.Load("row-000"); err != nil || !ok {
 		t.Fatalf("Load ok=%v err=%v", ok, err)
 	}
-	st := ckptStats()
+	st := ckptStats.Get()
 	if got := st.rowsWritten.Load(); got != 1 {
 		t.Errorf("rows_written = %d, want 1", got)
 	}

@@ -73,8 +73,8 @@ func dayKey(day int) string { return fmt.Sprintf("day-%03d", day) }
 // This is the single canonicalization point of the pipeline: both run
 // paths sort here once, and everything downstream — the Dataset fold
 // (which assigns intern IDs on first sight), the snapshot, and the
-// checkpoint unit bytes — inherits an order independent of shard layout
-// and map iteration.
+// checkpoint unit bytes — inherits an order independent of worker
+// count and map iteration.
 func sortByIdentity(recs []*netdb.RouterInfo) {
 	sort.Slice(recs, func(i, j int) bool {
 		return bytes.Compare(recs[i].Identity[:], recs[j].Identity[:]) < 0
@@ -103,15 +103,16 @@ func encodeDayUnit(recs []*netdb.RouterInfo) ([]byte, error) {
 
 // decodeDayUnit inverts encodeDayUnit. Records come back in the same
 // canonical identity-sorted order they were written in, so accumulation
-// code cannot tell a resumed (or evicted-and-reloaded) day from a
-// computed one.
+// code cannot tell a resumed day from a computed one.
 func decodeDayUnit(data []byte) ([]*netdb.RouterInfo, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("measure: day unit truncated")
 	}
 	n := binary.LittleEndian.Uint32(data)
 	data = data[4:]
-	recs := make([]*netdb.RouterInfo, 0, n)
+	// n is untrusted: every record carries at least a 4-byte length
+	// prefix, so no honest unit holds more than len(data)/4 of them.
+	recs := make([]*netdb.RouterInfo, 0, min(int(n), len(data)/4))
 	for i := uint32(0); i < n; i++ {
 		if len(data) < 4 {
 			return nil, fmt.Errorf("measure: day unit truncated at record %d", i)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/i2pstudy/i2pstudy/internal/obs"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // withObs enables a fresh registry (and optionally a tracer buffer) for
@@ -119,6 +120,29 @@ func TestFanRowsEmitsRowAndCellSpans(t *testing.T) {
 	}
 	if strings.Count(tr, `"name":"row"`) != 3 {
 		t.Errorf("want 3 row spans:\n%s", tr)
+	}
+}
+
+func TestCampaignEmitsOneDaySpanPerDay(t *testing.T) {
+	_, buf := withObs(t, true)
+	n, err := sim.New(sim.Config{Seed: 7, Days: 6, TargetDailyPeers: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCampaign(n, CampaignConfig{
+		Observers: DefaultObserverFleet(2),
+		StartDay:  0,
+		EndDay:    6,
+		Workers:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), `"name":"day"`); got != 6 {
+		t.Errorf("%d day spans, want one per campaign day (6):\n%s", got, buf.String())
 	}
 }
 

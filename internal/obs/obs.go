@@ -79,3 +79,42 @@ func EnableTrace(t *Tracer) { activeTracer.Store(t) }
 
 // ActiveTracer returns the enabled tracer, nil when tracing is disabled.
 func ActiveTracer() *Tracer { return activeTracer.Load() }
+
+// Lazy is one package's set of instrument handles, resolved against the
+// enabled registry on first use and cached per registry. Get returns an
+// inert zero *T while counting is disabled (its nil handles make every
+// increment a no-op), so the disabled cost is one atomic load and a nil
+// check; a registry swap is detected by identity and re-resolved.
+type Lazy[T any] struct {
+	resolve  func(*Registry) *T
+	disabled *T
+	cached   atomic.Pointer[lazyHandles[T]]
+}
+
+type lazyHandles[T any] struct {
+	reg *Registry
+	v   *T
+}
+
+// NewLazy returns a Lazy over resolve and registers resolve as an
+// OnEnable hook, so every enabled registry shows the families at zero
+// before their first use. Call it from a package-level var declaration.
+func NewLazy[T any](resolve func(*Registry) *T) *Lazy[T] {
+	OnEnable(func(r *Registry) { resolve(r) })
+	return &Lazy[T]{resolve: resolve, disabled: new(T)}
+}
+
+// Get returns the handles for the enabled registry, or the inert zero
+// value while counting is disabled.
+func (l *Lazy[T]) Get() *T {
+	r := Active()
+	if r == nil {
+		return l.disabled
+	}
+	if h := l.cached.Load(); h != nil && h.reg == r {
+		return h.v
+	}
+	h := &lazyHandles[T]{reg: r, v: l.resolve(r)}
+	l.cached.Store(h)
+	return h.v
+}

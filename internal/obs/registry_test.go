@@ -180,3 +180,34 @@ func TestEnableAndHooks(t *testing.T) {
 		t.Error("Enable(nil) did not disable")
 	}
 }
+
+func TestLazyResolvesPerRegistry(t *testing.T) {
+	prev := Active()
+	t.Cleanup(func() { Enable(prev) })
+
+	type handles struct{ c *Counter }
+	Enable(nil)
+	lazy := NewLazy(func(r *Registry) *handles {
+		return &handles{c: r.Counter("lazy_total", "Lazy handle test.")}
+	})
+	off := lazy.Get()
+	if off.c != nil || lazy.Get() != off {
+		t.Fatal("disabled Get must return one inert zero value")
+	}
+	off.c.Inc() // nil handle: a no-op
+
+	a, b := NewRegistry(), NewRegistry()
+	Enable(a)
+	if !strings.Contains(a.RenderText(), "lazy_total 0") {
+		t.Errorf("family not pre-created on Enable:\n%s", a.RenderText())
+	}
+	lazy.Get().c.Inc()
+	Enable(b)
+	if !strings.Contains(b.RenderText(), "lazy_total 0") {
+		t.Errorf("family not pre-created on the second Enable:\n%s", b.RenderText())
+	}
+	lazy.Get().c.Add(2)
+	if !strings.Contains(a.RenderText(), "lazy_total 1") || !strings.Contains(b.RenderText(), "lazy_total 2") {
+		t.Errorf("Get did not re-resolve on the registry swap:\nA:\n%s\nB:\n%s", a.RenderText(), b.RenderText())
+	}
+}

@@ -38,8 +38,8 @@
 # committed baseline, so the baselines are a trajectory, not a gate.
 #
 # The serial/parallel speedups are hardware-relative: ~1.0 on a single
-# core, >= 2x expected at 4 cores (per-(day, observer) captures and
-# sweep cells/rows are independent). The rolling-vs-scratch speedup is
+# core, >= 2x expected at 4 cores (campaign days and sweep cells/rows
+# are independent). The rolling-vs-scratch speedup is
 # algorithmic and should hold on any hardware (>= 2x on the acceptance
 # grid).
 set -euo pipefail
@@ -217,7 +217,7 @@ snapshot_counters() {
 }
 
 # campaign_memstats OUT — splice the streaming campaign's memory
-# accounting (scripts/obssnap -campaign: retained-unit peak, evictions,
+# accounting (scripts/obssnap -campaign: retained-unit gauges and peak,
 # peak RSS) into OUT, just before the "cores" field. These ride next to
 # the campaign ns/op so a perf move comes with its memory story — an
 # RSS jump with a flat retained-unit peak is allocator noise, a peak

@@ -76,9 +76,9 @@ for bf in "$base"/BENCH_*.json; do
       warned=1
       continue
     fi
-    # A zero baseline (common for counter snapshots: no steals, no
-    # evictions) has no meaningful percentage delta; any nonzero fresh
-    # value still warns, flagged as "was zero".
+    # A zero baseline (common for counter snapshots: no steals) has no
+    # meaningful percentage delta; any nonzero fresh value still warns,
+    # flagged as "was zero".
     if awk -v b="$bval" -v f="$fval" -v t="$thr" 'BEGIN { exit !(f > b * (1 + t/100)) }'; then
       awk -v b="$bval" -v f="$fval" -v n="$name" -v k="$key" 'BEGIN {
         if (b == 0) printf "WARN: %s %s regressed: baseline 0, fresh %d\n", n, k, f

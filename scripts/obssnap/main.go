@@ -14,7 +14,7 @@
 //
 // With -campaign the tool instead runs one streaming measurement
 // campaign and prints its memory accounting: the measure_* retained-unit
-// gauges and eviction counter from the obs registry, the campaign grid
+// gauges from the obs registry, the campaign grid
 // size, and the process's peak RSS. scripts/stream_smoke.sh asserts the
 // bounded-memory contract against these lines, and bench.sh splices
 // them into BENCH_campaign.json.
@@ -45,7 +45,7 @@ func main() {
 	experiment := flag.String("experiment", "figure-13", "experiment driving the counters")
 	campaign := flag.Bool("campaign", false, "snapshot the streaming campaign's memory accounting instead of sweep counters")
 	workers := flag.Int("workers", 4, "campaign engine width for -campaign")
-	checkpointDir := flag.String("checkpoint-dir", "", "campaign checkpoint directory for -campaign (also the eviction spill target)")
+	checkpointDir := flag.String("checkpoint-dir", "", "campaign checkpoint directory for -campaign")
 	flag.Parse()
 
 	reg := obs.NewRegistry()

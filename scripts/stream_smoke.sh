@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # stream_smoke.sh — end-to-end check of the bounded-memory streaming
-# campaign: run one streaming campaign with a -checkpoint-dir (so
-# evictions spill into the real checkpoint layer), then assert the
+# campaign: run one streaming campaign with a -checkpoint-dir (so every
+# folded day spills into the real checkpoint layer), then assert the
 # memory accounting the engine printed:
 #
 #   * the peak retained-unit count stays strictly below the grid size
@@ -46,10 +46,9 @@ if [ -z "$peak" ] || [ -z "$retained" ] || [ -z "$resident" ] || [ -z "$grid" ];
   exit 1
 fi
 
-# The structural ceiling: one unit per capture worker between retain and
-# channel send, one per channel slot, the default slack of one per
-# worker, and the unit being folded (see measure.Campaign.runParallel).
-ceiling=$((3 * workers + 1))
+# The structural ceiling: a merged day stays resident only while it holds
+# one of the 2*workers window slots (see measure.Campaign.runParallel).
+ceiling=$((2 * workers))
 if [ "$peak" -lt 1 ] || [ "$peak" -gt "$ceiling" ]; then
   echo "stream_smoke: peak retained units $peak outside [1, $ceiling]" >&2
   exit 1
@@ -63,8 +62,8 @@ if [ "$retained" -ne 0 ] || [ "$resident" -ne 0 ]; then
   exit 1
 fi
 
-# Every day must have committed a checkpoint unit (eviction spills early,
-# the fold spills the rest; either way the grid resumes from here).
+# Every day must have committed a checkpoint unit at its fold, so the
+# grid resumes from here.
 units="$(ls "$ckpt"/day-* 2>/dev/null | wc -l)"
 if [ "$units" -ne "$grid" ]; then
   echo "stream_smoke: checkpoint dir holds $units day units, want $grid" >&2
