@@ -202,25 +202,32 @@ func (c *Campaign) commitDay(ds *Dataset, db *geo.DB, snap *snapshotter, store *
 	return faults.Hit("measure.campaign.day")
 }
 
-// mergeDay is the campaign's one merge rule: it collects every
-// observer's capture for day in fleet order into merged (cleared first —
-// the daily netDb cleanup), keeps the newest record per identity with
-// the earliest observer winning a Published tie, and returns the
-// survivors in canonical identity order. merged is caller-owned scratch
-// so a worker keeps its map's capacity from day to day.
-func (c *Campaign) mergeDay(day int, merged map[netdb.Hash]*netdb.RouterInfo) []*netdb.RouterInfo {
-	clear(merged)
-	for _, o := range c.obs {
-		for _, ri := range o.CollectDay(day) {
-			prev, ok := merged[ri.Identity]
-			if !ok || ri.Published.After(prev.Published) {
-				merged[ri.Identity] = ri
+// mergeDay is the campaign's one merge rule: it merges every observer's
+// capture of day, keeps the newest record per identity with the earliest
+// observer in fleet order winning a Published tie, and returns the
+// survivors in canonical identity order.
+//
+// Every record of a day carries Published = DayTime(day) (see
+// sim.Observer.CollectDayWhere), so a peer's record always comes from the
+// first observer whose ObserveDay contains it. mergeDay therefore merges
+// indexes first, writing each peer's owner (fleet position + 1) into
+// owner, and then has each observer build only the records it owns.
+// owner is caller-owned scratch with one slot per network peer, cleared
+// here (the daily netDb cleanup) so a worker reuses it from day to day.
+func (c *Campaign) mergeDay(day int, owner []int32) []*netdb.RouterInfo {
+	clear(owner)
+	n := 0
+	for oi, o := range c.obs {
+		for _, idx := range o.ObserveDay(day) {
+			if owner[idx] == 0 {
+				owner[idx] = int32(oi + 1)
+				n++
 			}
 		}
 	}
-	recs := make([]*netdb.RouterInfo, 0, len(merged))
-	for _, ri := range merged {
-		recs = append(recs, ri)
+	recs := make([]*netdb.RouterInfo, 0, n)
+	for oi, o := range c.obs {
+		recs = o.CollectDayWhere(day, func(idx int) bool { return owner[idx] == int32(oi+1) }, recs)
 	}
 	sortByIdentity(recs)
 	return recs
@@ -231,12 +238,12 @@ func (c *Campaign) mergeDay(day int, merged map[netdb.Hash]*netdb.RouterInfo) []
 // to it (see TestCampaignParallelMatchesSerial).
 func (c *Campaign) runSerial(ctx context.Context, ds *Dataset, snap *snapshotter, store *checkpoint.Store, from int) error {
 	db := c.net.GeoDB()
-	merged := make(map[netdb.Hash]*netdb.RouterInfo)
+	owner := make([]int32, c.net.PeerCount())
 	for day := from; day < c.cfg.EndDay; day++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		recs := c.mergeDay(day, merged)
+		recs := c.mergeDay(day, owner)
 		b := unitBytes(recs)
 		c.retainUnit(b)
 		err := c.commitDay(ds, db, snap, store, day, recs)
@@ -275,7 +282,7 @@ func (c *Campaign) runParallel(ctx context.Context, ds *Dataset, snap *snapshott
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			scratch := make(map[netdb.Hash]*netdb.RouterInfo)
+			owner := make([]int32, c.net.PeerCount())
 			for {
 				select {
 				case window <- struct{}{}:
@@ -291,7 +298,7 @@ func (c *Campaign) runParallel(ctx context.Context, ds *Dataset, snap *snapshott
 				if tr != nil {
 					t0 = tr.Now()
 				}
-				recs := c.mergeDay(day, scratch)
+				recs := c.mergeDay(day, owner)
 				if tr != nil {
 					tr.Complete(w, "day", t0, obs.Arg{Key: "day", Val: int64(day)})
 				}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"github.com/i2pstudy/i2pstudy/internal/netdb"
 	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
@@ -22,7 +21,7 @@ func FuzzDecodeDayUnit(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	day, err := encodeDayUnit(c.mergeDay(0, make(map[netdb.Hash]*netdb.RouterInfo)))
+	day, err := encodeDayUnit(c.mergeDay(0, make([]int32, n.PeerCount())))
 	if err != nil {
 		f.Fatal(err)
 	}

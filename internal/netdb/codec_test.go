@@ -1,6 +1,8 @@
 package netdb
 
 import (
+	"crypto/sha256"
+	"errors"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -296,5 +298,47 @@ func TestRouterInfoQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRouterInfoDecodeRejectsNonCanonical: a body that parses but is not
+// Encode's one encoding of its record — repeated or reordered caps
+// letters, option keys out of order or repeated, a timestamp aliasing
+// the zero time — is refused with ErrNonCanonical, so an accepted record
+// always re-encodes to the bytes it came from.
+func TestRouterInfoDecodeRejectsNonCanonical(t *testing.T) {
+	seal := func(caps string, published uint64, keys ...string) []byte {
+		var w wireWriter
+		w.buf.Write(riMagic[:])
+		w.hash(HashFromUint64(7))
+		w.u64(published)
+		w.str(caps)
+		w.str("0.9.34")
+		w.u8(0) // no addresses
+		w.u8(uint8(len(keys)))
+		for _, k := range keys {
+			w.str(k)
+			w.str("v")
+		}
+		body := w.buf.Bytes()
+		tag := sha256.Sum256(body)
+		return append(body, tag[:]...)
+	}
+	const when = 1517630706000 // 2018-02-03T04:05:06Z
+	zeroAlias := uint64(time.Time{}.UnixMilli())
+	if _, err := DecodeRouterInfo(seal("POfR", when, "a", "b")); err != nil {
+		t.Fatalf("canonical record refused: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"repeated class":  seal("XXX", when),
+		"reordered caps":  seal("fPOR", when),
+		"legacy O first":  seal("OPR", when),
+		"keys unsorted":   seal("LU", when, "b", "a"),
+		"keys repeated":   seal("LU", when, "a", "a"),
+		"zero-time alias": seal("LU", zeroAlias),
+	} {
+		if _, err := DecodeRouterInfo(data); !errors.Is(err, ErrNonCanonical) {
+			t.Errorf("%s: err = %v, want ErrNonCanonical", name, err)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 )
@@ -96,17 +97,20 @@ func (ri *RouterInfo) Clone() *RouterInfo {
 	return &out
 }
 
-// IPs returns the set of valid public IPs across all addresses, in stable
-// order, without duplicates.
+// IPs returns the set of valid public IPs across all addresses, in
+// first-seen order, without duplicates (nil when there are none). A record
+// holds a handful of addresses, so a linear scan dedupes them.
 func (ri *RouterInfo) IPs() []netip.Addr {
-	seen := make(map[netip.Addr]bool, len(ri.Addresses))
 	var out []netip.Addr
 	for i := range ri.Addresses {
 		a := ri.Addresses[i].Addr
-		if a.IsValid() && !seen[a] {
-			seen[a] = true
-			out = append(out, a)
+		if !a.IsValid() || slices.Contains(out, a) {
+			continue
 		}
+		if out == nil {
+			out = make([]netip.Addr, 0, len(ri.Addresses)-i)
+		}
+		out = append(out, a)
 	}
 	return out
 }
@@ -143,15 +147,6 @@ func (ri *RouterInfo) HasIPv6() bool {
 	return false
 }
 
-// Introducers returns all introducers across addresses.
-func (ri *RouterInfo) Introducers() []Introducer {
-	var out []Introducer
-	for i := range ri.Addresses {
-		out = append(out, ri.Addresses[i].Introducers...)
-	}
-	return out
-}
-
 // Firewalled reports whether the router is the paper's "firewalled" type:
 // it publishes no usable IP of its own but does publish introducers whose
 // contact information carries valid IPs ("A firewalled peer has information
@@ -160,9 +155,11 @@ func (ri *RouterInfo) Firewalled() bool {
 	if ri.HasKnownIP() {
 		return false
 	}
-	for _, in := range ri.Introducers() {
-		if in.Addr.IsValid() {
-			return true
+	for i := range ri.Addresses {
+		for _, in := range ri.Addresses[i].Introducers {
+			if in.Addr.IsValid() {
+				return true
+			}
 		}
 	}
 	return false
@@ -191,6 +188,11 @@ var (
 	ErrBadChecksum  = errors.New("netdb: integrity tag mismatch")
 	ErrTruncated    = errors.New("netdb: truncated record")
 	ErrFieldTooLong = errors.New("netdb: field exceeds length limit")
+	// ErrNonCanonical marks a record that decodes but is not the one
+	// encoding Encode gives it (reordered or repeated caps letters or
+	// option keys, a timestamp that aliases the zero time), so no record
+	// has two valid encodings.
+	ErrNonCanonical = errors.New("netdb: non-canonical record encoding")
 )
 
 type wireWriter struct {
@@ -313,7 +315,12 @@ func (r *wireReader) timeMilli() time.Time {
 	if v == 0 || r.err != nil {
 		return time.Time{}
 	}
-	return time.UnixMilli(int64(v)).UTC()
+	t := time.UnixMilli(int64(v)).UTC()
+	if t.IsZero() {
+		// Encode writes the zero time as 0, never as its own instant.
+		r.fail(ErrNonCanonical)
+	}
+	return t
 }
 
 func (r *wireReader) str() string {
@@ -446,10 +453,15 @@ func DecodeRouterInfo(data []byte) (*RouterInfo, error) {
 	nOpts := int(r.u8())
 	if nOpts > 0 {
 		ri.Options = make(map[string]string, nOpts)
+		prev := ""
 		for i := 0; i < nOpts && r.err == nil; i++ {
 			k := r.str()
 			v := r.str()
+			if i > 0 && k <= prev {
+				r.fail(ErrNonCanonical) // Encode writes keys strictly ascending
+			}
 			ri.Options[k] = v
+			prev = k
 		}
 	}
 	if r.err != nil {
@@ -461,6 +473,9 @@ func DecodeRouterInfo(data []byte) (*RouterInfo, error) {
 	caps, err := ParseCaps(capsStr)
 	if err != nil {
 		return nil, err
+	}
+	if caps.Encode() != capsStr {
+		return nil, ErrNonCanonical
 	}
 	ri.Caps = caps
 	if ri.Identity.IsZero() {

@@ -216,13 +216,31 @@ func (o *Observer) observeDay(day int) []int {
 
 // CollectDay materializes the RouterInfos the observer captured on the
 // given day — what the paper's harness read from the netDb directory on
-// its hourly scans before the daily cleanup (Section 4.3).
+// its hourly scans before the daily cleanup (Section 4.3). It is the
+// keep-all call of CollectDayWhere.
 func (o *Observer) CollectDay(day int) []*netdb.RouterInfo {
-	idxs := o.ObserveDay(day)
+	return o.CollectDayWhere(day, nil, make([]*netdb.RouterInfo, 0, len(o.ObserveDay(day))))
+}
+
+// CollectDayWhere appends to out the records of CollectDay(day) whose peer
+// index passes keep (nil keeps all), in the same order and with the same
+// bytes. Every observed peer advances the observer's materialization
+// stream through the same draws whether it is kept or not, so a skipped
+// peer costs no allocation and never changes the records after it.
+//
+// Every record of a day has Published = DayTime(day), whichever observer
+// built it. The campaign's merge relies on this: "newest record wins,
+// earliest observer on a tie" reduces to "first observer in fleet order
+// that saw the peer", which it can decide on indexes before building any
+// record.
+func (o *Observer) CollectDayWhere(day int, keep func(idx int) bool, out []*netdb.RouterInfo) []*netdb.RouterInfo {
 	rng := o.dayRNG(day + 1<<20) // independent stream for materialization
-	out := make([]*netdb.RouterInfo, 0, len(idxs))
-	for _, idx := range idxs {
-		out = append(out, o.net.RouterInfoFor(o.net.Peers[idx], day, rng))
+	dayTime, pool := o.net.DayTime(day), o.net.Introducers(day)
+	for _, idx := range o.ObserveDay(day) {
+		build := keep == nil || keep(idx)
+		if ri := o.net.Peers[idx].routerInfoOn(day, dayTime, pool, rng, build); build {
+			out = append(out, ri)
+		}
 	}
 	return out
 }

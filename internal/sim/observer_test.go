@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -177,6 +178,70 @@ func TestAddrScheduleMatchesAddrOnDay(t *testing.T) {
 			if want.V4 != v4 || want.V6 != v6 {
 				t.Fatalf("peer %d day %d: schedule (%v, %v) != AddrOnDay (%v, %v)",
 					p.Index, day, want.V4, want.V6, v4, v6)
+			}
+		}
+	}
+}
+
+// TestCollectDayWhereKeepsExactSubset: for keep-all, keep-none and
+// alternating masks, CollectDayWhere returns exactly the kept records of
+// CollectDay, byte for byte, so skipping a peer never shifts the draws of
+// the peers after it. Every record carries Published = DayTime(day), the
+// invariant the campaign's index merge relies on.
+func TestCollectDayWhereKeepsExactSubset(t *testing.T) {
+	n := testNetwork(t, 10)
+	o := n.NewObserver(ObserverConfig{Seed: 9, SharedKBps: 2048, Floodfill: true})
+	for _, day := range []int{0, 4} {
+		idxs := o.ObserveDay(day)
+		full := o.CollectDay(day)
+		want := make([][]byte, len(full))
+		statuses := map[Status]bool{}
+		introduced := false
+		for i, ri := range full {
+			if !ri.Published.Equal(n.DayTime(day)) {
+				t.Fatalf("day %d: record %d published %v, want %v", day, i, ri.Published, n.DayTime(day))
+			}
+			statuses[n.Peers[idxs[i]].Status] = true
+			introduced = introduced || ri.Firewalled()
+			b, err := ri.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = b
+		}
+		if len(statuses) != 4 || !introduced {
+			t.Fatalf("day %d: fixture covers statuses %v (introducers seen: %v), want all four", day, statuses, introduced)
+		}
+		masks := map[string]func(pos int) bool{
+			"keep-all":  func(int) bool { return true },
+			"keep-none": func(int) bool { return false },
+			"even":      func(pos int) bool { return pos%2 == 0 },
+			"odd":       func(pos int) bool { return pos%2 == 1 },
+		}
+		// keep sees peer indexes; map them back to observation order.
+		pos := make(map[int]int, len(idxs))
+		for i, idx := range idxs {
+			pos[idx] = i
+		}
+		for name, mask := range masks {
+			got := o.CollectDayWhere(day, func(idx int) bool { return mask(pos[idx]) }, nil)
+			var kept [][]byte
+			for i := range full {
+				if mask(i) {
+					kept = append(kept, want[i])
+				}
+			}
+			if len(got) != len(kept) {
+				t.Fatalf("day %d %s: %d records, want %d", day, name, len(got), len(kept))
+			}
+			for i, ri := range got {
+				b, err := ri.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b, kept[i]) {
+					t.Fatalf("day %d %s: record %d differs from CollectDay's", day, name, i)
+				}
 			}
 		}
 	}

@@ -168,11 +168,6 @@ func (p *Peer) ASNOnDay(day int) uint32 {
 	return cur.asn
 }
 
-// KnownIPOn reports whether the peer publishes an IP on the given day.
-func (p *Peer) KnownIPOn(day int) bool {
-	return p.Status == StatusKnownIP && len(p.ipSchedule) > 0
-}
-
 // TunnelEligible reports whether other peers would select this peer as a
 // tunnel hop: reachable, publishing an address, with at least M bandwidth.
 func (p *Peer) TunnelEligible() bool {
@@ -252,70 +247,77 @@ func (p *Peer) UniqueASNs() int {
 	return len(seen)
 }
 
-// RouterInfoOn materializes the peer's RouterInfo as published on the given
-// study day. introducerPool supplies candidate introducers for firewalled
-// peers (known-IP reachable peers active the same day).
-func (p *Peer) RouterInfoOn(day int, dayTime time.Time, introducerPool []*Peer, rng *rand.Rand) *netdb.RouterInfo {
-	caps := netdb.Caps{
-		Class:       p.Class,
-		LegacyO:     p.LegacyO,
-		Floodfill:   p.Floodfill,
-		Reachable:   p.Status == StatusKnownIP && p.Reachable,
-		Unreachable: !(p.Status == StatusKnownIP && p.Reachable),
-	}
-	ri := &netdb.RouterInfo{
-		Identity:  p.ID,
-		Published: dayTime,
-		Version:   "0.9.34",
+// routerInfoOn materializes the peer's RouterInfo as published on the
+// given study day. introducerPool supplies candidate introducers for
+// firewalled peers (known-IP reachable peers active the same day). This is
+// the one draw sequence of a record: with build false it makes exactly the
+// same rng draws, constructs nothing and returns nil, so a caller can skip
+// a record without shifting the draws of the records after it.
+func (p *Peer) routerInfoOn(day int, dayTime time.Time, introducerPool []*Peer, rng *rand.Rand, build bool) *netdb.RouterInfo {
+	var ri *netdb.RouterInfo
+	if build {
+		reachable := p.Status == StatusKnownIP && p.Reachable
+		ri = &netdb.RouterInfo{
+			Identity:  p.ID,
+			Published: dayTime,
+			Version:   "0.9.34",
+			Caps: netdb.Caps{
+				Class:       p.Class,
+				LegacyO:     p.LegacyO,
+				Floodfill:   p.Floodfill,
+				Reachable:   reachable,
+				Unreachable: !reachable,
+				// Toggling peers also appeared with hidden config within
+				// the day; the H flag puts them in both groups.
+				Hidden: p.Status == StatusHidden || p.Status == StatusToggling,
+			},
+		}
 	}
 	switch p.Status {
 	case StatusKnownIP:
-		v4, v6 := p.AddrOnDay(day)
 		port := uint16(9000 + rng.IntN(22001)) // I2P's 9000–31000 range
+		if !build {
+			return nil
+		}
+		v4, v6 := p.AddrOnDay(day)
+		n := 0
 		if v4.IsValid() {
-			ri.Addresses = append(ri.Addresses, netdb.RouterAddress{
-				Transport: netdb.TransportNTCP,
-				Addr:      v4,
-				Port:      port,
-			})
-			ri.Addresses = append(ri.Addresses, netdb.RouterAddress{
-				Transport: netdb.TransportSSU,
-				Addr:      v4,
-				Port:      port,
-			})
+			n += 2
 		}
 		if v6.IsValid() {
-			ri.Addresses = append(ri.Addresses, netdb.RouterAddress{
-				Transport: netdb.TransportNTCP,
-				Addr:      v6,
-				Port:      port,
-			})
+			n++
+		}
+		ri.Addresses = make([]netdb.RouterAddress, 0, n)
+		if v4.IsValid() {
+			ri.Addresses = append(ri.Addresses,
+				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v4, Port: port},
+				netdb.RouterAddress{Transport: netdb.TransportSSU, Addr: v4, Port: port})
+		}
+		if v6.IsValid() {
+			ri.Addresses = append(ri.Addresses,
+				netdb.RouterAddress{Transport: netdb.TransportNTCP, Addr: v6, Port: port})
 		}
 	case StatusFirewalled, StatusToggling:
-		addr := netdb.RouterAddress{Transport: netdb.TransportSSU}
 		n := 1 + rng.IntN(3)
+		var intros []netdb.Introducer
+		if build {
+			intros = make([]netdb.Introducer, 0, n)
+		}
 		for i := 0; i < n && len(introducerPool) > 0; i++ {
 			in := introducerPool[rng.IntN(len(introducerPool))]
 			v4, _ := in.AddrOnDay(day)
 			if !v4.IsValid() {
 				continue
 			}
-			addr.Introducers = append(addr.Introducers, netdb.Introducer{
-				Hash: in.ID,
-				Tag:  rng.Uint32(),
-				Addr: v4,
-				Port: uint16(9000 + rng.IntN(22001)),
-			})
+			tag := rng.Uint32()
+			port := uint16(9000 + rng.IntN(22001))
+			if build {
+				intros = append(intros, netdb.Introducer{Hash: in.ID, Tag: tag, Addr: v4, Port: port})
+			}
 		}
-		ri.Addresses = append(ri.Addresses, addr)
-		if p.Status == StatusToggling {
-			// Within the day the peer also appeared with hidden config;
-			// the H flag records it, putting the peer in both groups.
-			caps.Hidden = true
+		if build {
+			ri.Addresses = []netdb.RouterAddress{{Transport: netdb.TransportSSU, Introducers: intros}}
 		}
-	case StatusHidden:
-		caps.Hidden = true
 	}
-	ri.Caps = caps
 	return ri
 }

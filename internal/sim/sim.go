@@ -483,7 +483,8 @@ func (n *Network) Introducers(day int) []*Peer {
 }
 
 // RouterInfoFor materializes the RouterInfo the given peer publishes on
-// day. rng drives port/introducer choices.
+// day. rng drives port/introducer choices. The record is published at
+// DayTime(day), as every record of that day is.
 func (n *Network) RouterInfoFor(p *Peer, day int, rng *rand.Rand) *netdb.RouterInfo {
-	return p.RouterInfoOn(day, n.DayTime(day), n.Introducers(day), rng)
+	return p.routerInfoOn(day, n.DayTime(day), n.Introducers(day), rng, true)
 }
