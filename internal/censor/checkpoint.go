@@ -2,11 +2,9 @@ package censor
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/faults"
-	"github.com/i2pstudy/i2pstudy/internal/measure"
 )
 
 // CellResult is the engine-owned product of one sweep cell: the
@@ -27,36 +25,16 @@ type CellResult struct {
 // when CellResult or the row keying changes.
 const sweepVersion = 1
 
-// checkpointManifest identifies this sweep for resume purposes: network
-// shape plus the full grid. Workers is excluded — a sweep may resume at
-// any width.
+// checkpointManifest identifies this sweep for resume purposes: the
+// network config plus the whole grid, Workers excluded.
 func (s *Sweep) checkpointManifest() checkpoint.Manifest {
-	h := checkpoint.NewHasher()
-	measure.HashNetwork(h, s.Net)
-	h.Int(len(s.Cfg.Fleets))
-	for _, k := range s.Cfg.Fleets {
-		h.Int(k)
-	}
-	h.Int(len(s.Cfg.Windows))
-	for _, w := range s.Cfg.Windows {
-		h.Int(w)
-	}
-	h.Int(len(s.Cfg.Days))
-	for _, d := range s.Cfg.Days {
-		h.Int(d)
-	}
 	return checkpoint.Manifest{
 		Engine:     "censor.Sweep",
 		Version:    sweepVersion,
-		ConfigHash: h.Sum(),
+		ConfigHash: checkpoint.HashConfig(s.Net.Config(), s.Cfg),
 		Seed:       s.Cfg.SeedBase,
 	}
 }
-
-// rowKey names the checkpoint unit holding one completed (window,
-// fleet) row, keyed by its stable grid id: cell i belongs to row
-// i % (windows x fleets).
-func rowKey(row int) string { return fmt.Sprintf("row-%03d", row) }
 
 // Run evaluates the standard result for every cell of the grid,
 // returning them in Cells() order. Byte-identical at any Workers value,
@@ -65,59 +43,21 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 	return s.RunCheckpointed(ctx, "")
 }
 
-// RunCheckpointed is Run with crash safety: when dir is non-empty,
-// every completed (window, fleet) row spills its results to a
-// checkpoint.Store there, and a rerun over the same directory loads
-// finished rows instead of recomputing them — skipped cells never even
-// build their rolling WindowCounter (cursors advance lazily). Resuming
-// against state from a different sweep fails with a
-// *checkpoint.MismatchError. Interrupted or not, the returned slice is
-// byte-identical to an uninterrupted Run at any Workers value: results
-// live in cell-indexed slots and JSON round-trips them exactly.
+// RunCheckpointed is Run with crash safety: when dir is non-empty, each
+// completed (window, fleet) row spills to a checkpoint.Rows there, and
+// a rerun loads finished rows instead of recomputing them — their cells
+// never even build a rolling WindowCounter (cursors advance lazily).
+// Interrupted or not, the result is byte-identical to an uninterrupted
+// Run at any Workers value.
 func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, error) {
-	cells := s.Cells()
 	rows := len(s.Cfg.Windows) * len(s.Cfg.Fleets)
-	out := make([]CellResult, len(cells))
-
-	var store *checkpoint.Store
-	done := make([]bool, rows)
-	if dir != "" {
-		var err error
-		store, err = checkpoint.Open(dir, s.checkpointManifest())
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < rows; r++ {
-			var saved []CellResult
-			ok, err := store.LoadJSON(rowKey(r), &saved)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			if len(saved) != len(s.Cfg.Days) {
-				return nil, fmt.Errorf("censor: checkpoint row %d has %d cells, grid expects %d",
-					r, len(saved), len(s.Cfg.Days))
-			}
-			for j, res := range saved {
-				out[r+j*rows] = res
-			}
-			done[r] = true
-		}
+	out := make([]CellResult, rows*len(s.Cfg.Days))
+	spill, err := checkpoint.OpenRows(dir, s.checkpointManifest(), out, rows)
+	if err != nil {
+		return nil, err
 	}
-
-	// left[r] counts row r's cells still to compute. FanRows runs each
-	// plan row on exactly one goroutine, and plan row r holds exactly the
-	// cells with i % rows == r, so this plain countdown needs no atomics
-	// and reaches zero once, on the worker that ran the row's last cell.
-	left := make([]int, rows)
-	for i := range cells {
-		left[i%rows]++
-	}
-	err := s.Each(ctx, func(i int, cu *Cursor) error {
-		row := i % rows
-		if done[row] {
+	err = s.Each(ctx, func(i int, cu *Cursor) error {
+		if spill.Done(i % rows) {
 			return nil // resumed row: result already loaded, cursor untouched
 		}
 		out[i] = CellResult{
@@ -125,14 +65,8 @@ func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, 
 			BlockingRate: cu.BlockingRate(),
 			BlacklistLen: cu.Blacklist().Len(),
 		}
-		if left[row]--; left[row] == 0 && store != nil {
-			saved := make([]CellResult, 0, len(s.Cfg.Days))
-			for j := row; j < len(cells); j += rows {
-				saved = append(saved, out[j])
-			}
-			if err := store.SaveJSON(rowKey(row), saved); err != nil {
-				return err
-			}
+		if err := spill.Finish(i); err != nil {
+			return err
 		}
 		return faults.Hit("censor.sweep.cell")
 	})

@@ -9,6 +9,7 @@ import (
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 func crashSweepConfig(workers int) SweepConfig {
@@ -71,21 +72,19 @@ func TestSweepCheckpointSpillsEachRowOnce(t *testing.T) {
 		if got := reg.Counter("i2p_checkpoint_rows_written_total", "").Load(); got != uint64(rows) {
 			t.Fatalf("Workers=%d: %d units written, want one per row (%d)", w, got, rows)
 		}
-		store, err := checkpoint.Open(dir, sw.checkpointManifest())
+		// Reopening the directory loads every row back into its cells.
+		resumed := make([]CellResult, len(res))
+		store, err := checkpoint.OpenRows(dir, sw.checkpointManifest(), resumed, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < rows; r++ {
-			var saved, want []CellResult
-			if ok, err := store.LoadJSON(rowKey(r), &saved); err != nil || !ok {
-				t.Fatalf("Workers=%d: row %d unit missing (ok=%v, err=%v)", w, r, ok, err)
+			if !store.Done(r) {
+				t.Fatalf("Workers=%d: row %d unit missing", w, r)
 			}
-			for i := r; i < len(res); i += rows {
-				want = append(want, res[i])
-			}
-			if !reflect.DeepEqual(saved, want) {
-				t.Fatalf("Workers=%d: row %d unit holds %v, want %v", w, r, saved, want)
-			}
+		}
+		if !reflect.DeepEqual(resumed, res) {
+			t.Fatalf("Workers=%d: row units hold %v, want %v", w, resumed, res)
 		}
 	}
 }
@@ -147,4 +146,44 @@ func TestSweepCheckpointMismatchRefused(t *testing.T) {
 	if mm.Field != "seed" {
 		t.Fatalf("MismatchError.Field = %q, want \"seed\"", mm.Field)
 	}
+}
+
+// TestSweepCheckpointRefusesOtherNetwork pins the network into the
+// manifest: the sweep's SeedBase is unchanged, but a network drawn from
+// another seed observes different peers, so its sweep must not resume
+// rows computed on the first one.
+func TestSweepCheckpointRefusesOtherNetwork(t *testing.T) {
+	n := network(t)
+	dir := t.TempDir()
+	sw, err := NewSweep(n, crashSweepConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.RunCheckpointed(context.Background(), dir); err != nil {
+		t.Fatal(err)
+	}
+	cfg := n.Config()
+	cfg.Seed++
+	other, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw2, err := NewSweep(other, crashSweepConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sw2.RunCheckpointed(context.Background(), dir)
+	var mm *checkpoint.MismatchError
+	if !errors.As(err, &mm) || mm.Field != "config_hash" {
+		t.Fatalf("resume on a network with another seed: err = %v, want a config_hash *checkpoint.MismatchError", err)
+	}
+}
+
+// TestSweepManifestCoversConfig asserts every SweepConfig field but
+// Workers reaches the checkpoint manifest.
+func TestSweepManifestCoversConfig(t *testing.T) {
+	n := network(t)
+	enginetest.ManifestCovers(t, crashSweepConfig(2), func(cfg SweepConfig) checkpoint.Manifest {
+		return (&Sweep{Net: n, Cfg: cfg}).checkpointManifest()
+	})
 }

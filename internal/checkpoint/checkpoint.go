@@ -13,16 +13,15 @@
 // "name"), so a unit either exists completely or not at all; a crash
 // mid-write leaves only a "."-prefixed orphan that Open sweeps away.
 // Resuming against a directory whose manifest disagrees on any key
-// field fails with a *MismatchError — stale shards are never silently
-// merged.
+// field fails with a *MismatchError. The config hash is derived by
+// walking the whole config (HashConfig), so a field that shapes output
+// cannot be left out of it; only a `checkpoint:"-"` tag excludes one.
 package checkpoint
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,8 +38,9 @@ type Manifest struct {
 	// refused instead of misread. It is Workers-independent: width
 	// never changes what a unit contains.
 	Version int `json:"version"`
-	// ConfigHash fingerprints every config field that shapes the
-	// output (grid dimensions, scale, horizon — not Workers).
+	// ConfigHash is HashConfig over the network and engine configs:
+	// every field except those tagged `checkpoint:"-"` (Workers and
+	// output directories).
 	ConfigHash uint64 `json:"config_hash"`
 	// Seed is the simulation seed.
 	Seed uint64 `json:"seed"`
@@ -59,9 +59,10 @@ func (e *MismatchError) Error() string {
 		e.Field, e.Have, e.Want)
 }
 
-// ErrNoCheckpoint reports Open finding an existing manifest when the
-// caller required a fresh directory, or vice versa; see OpenExisting.
-var ErrNoCheckpoint = errors.New("checkpoint: no manifest in directory")
+// ErrCorrupt marks checkpoint state that exists but cannot be used: a
+// manifest or unit that does not decode, or a row unit of the wrong
+// length. Callers test for it with errors.Is.
+var ErrCorrupt = errors.New("checkpoint: corrupt state")
 
 const manifestName = "manifest.json"
 
@@ -88,7 +89,7 @@ func Open(dir string, m Manifest) (*Store, error) {
 	raw, err := os.ReadFile(path)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		if err := writeAtomic(dir, manifestName, mustJSON(m)); err != nil {
+		if err := WriteFileAtomic(path, mustJSON(m)); err != nil {
 			return nil, err
 		}
 	case err != nil:
@@ -96,7 +97,7 @@ func Open(dir string, m Manifest) (*Store, error) {
 	default:
 		var have Manifest
 		if err := json.Unmarshal(raw, &have); err != nil {
-			return nil, fmt.Errorf("checkpoint: corrupt manifest %s: %w", path, err)
+			return nil, fmt.Errorf("%w: manifest %s: %w", ErrCorrupt, path, err)
 		}
 		if err := have.verify(m); err != nil {
 			return nil, err
@@ -112,19 +113,19 @@ func Exists(dir string) bool {
 	return err == nil
 }
 
-// verify compares the on-disk manifest against the resuming run's.
+// verify compares the on-disk manifest against the resuming run's. The
+// seed is checked before the config hash, which also covers it, so a
+// seed change is reported as such.
 func (have Manifest) verify(want Manifest) error {
-	if have.Engine != want.Engine {
-		return &MismatchError{Field: "engine", Have: have.Engine, Want: want.Engine}
-	}
-	if have.Version != want.Version {
-		return &MismatchError{Field: "version", Have: fmt.Sprint(have.Version), Want: fmt.Sprint(want.Version)}
-	}
-	if have.ConfigHash != want.ConfigHash {
-		return &MismatchError{Field: "config_hash", Have: fmt.Sprintf("%016x", have.ConfigHash), Want: fmt.Sprintf("%016x", want.ConfigHash)}
-	}
-	if have.Seed != want.Seed {
-		return &MismatchError{Field: "seed", Have: fmt.Sprint(have.Seed), Want: fmt.Sprint(want.Seed)}
+	for _, f := range [...][3]string{
+		{"engine", have.Engine, want.Engine},
+		{"version", fmt.Sprint(have.Version), fmt.Sprint(want.Version)},
+		{"seed", fmt.Sprint(have.Seed), fmt.Sprint(want.Seed)},
+		{"config_hash", fmt.Sprintf("%016x", have.ConfigHash), fmt.Sprintf("%016x", want.ConfigHash)},
+	} {
+		if f[1] != f[2] {
+			return &MismatchError{Field: f[0], Have: f[1], Want: f[2]}
+		}
 	}
 	return nil
 }
@@ -147,9 +148,6 @@ func sweepOrphans(dir string) error {
 	return nil
 }
 
-// Dir returns the directory this store writes into.
-func (s *Store) Dir() string { return s.dir }
-
 // Save commits one completed unit under key. The write is atomic:
 // either the unit appears complete or (after a crash) only a staging
 // orphan remains for the next Open to sweep.
@@ -157,7 +155,7 @@ func (s *Store) Save(key string, data []byte) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	if err := writeAtomic(s.dir, key, data); err != nil {
+	if err := WriteFileAtomic(filepath.Join(s.dir, key), data); err != nil {
 		return err
 	}
 	st := ckptStats.Get()
@@ -207,7 +205,7 @@ func (s *Store) LoadJSON(key string, v any) (ok bool, err error) {
 		return ok, err
 	}
 	if err := json.Unmarshal(data, v); err != nil {
-		return false, fmt.Errorf("checkpoint: corrupt unit %s: %w", key, err)
+		return false, fmt.Errorf("%w: unit %s: %w", ErrCorrupt, key, err)
 	}
 	return true, nil
 }
@@ -220,12 +218,6 @@ func validKey(key string) error {
 		return fmt.Errorf("checkpoint: invalid unit key %q", key)
 	}
 	return nil
-}
-
-// writeAtomic stages data as dir/.name.tmp, syncs, and renames it to
-// dir/name — the same commit discipline as measure.snapshotter.
-func writeAtomic(dir, name string, data []byte) error {
-	return WriteFileAtomic(filepath.Join(dir, name), data)
 }
 
 // WriteFileAtomic commits data to path with the package's durability
@@ -245,21 +237,17 @@ func WriteFileAtomic(path string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -270,17 +258,19 @@ func WriteFileAtomic(path string, data []byte) error {
 // Without it a power loss can forget the rename while remembering the
 // staged bytes — the "complete file in a directory that never heard of
 // it" failure mode.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+func SyncDir(dir string) error { return fsync(dir) }
+
+// fsync opens path, file or directory, and syncs it.
+func fsync(path string) error {
+	f, err := os.Open(path)
+	if err == nil {
+		err = f.Sync()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
-		return fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
+		return fmt.Errorf("checkpoint: syncing %s: %w", path, err)
 	}
 	return nil
 }
@@ -289,12 +279,11 @@ func SyncDir(dir string) error {
 // up. It is the staging half of the directory-grain commit protocol:
 // write a tree, SyncTree it, rename it into place, SyncDir the parent —
 // after which the rename target is guaranteed to hold complete files
-// even across power loss. File syncs fan out over a small worker pool:
-// a day snapshot holds one file per router and serial fsync would make
+// even across power loss. Up to 8 file syncs run at once: a day
+// snapshot holds one file per router and serial fsync would make
 // durability O(peers) in disk round-trips.
 func SyncTree(root string) error {
-	var files []string
-	var dirs []string
+	var files, dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -309,47 +298,24 @@ func SyncTree(root string) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: syncing tree %s: %w", root, err)
 	}
-	workers := min(8, max(1, len(files)))
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	next := make(chan string, len(files))
-	for _, f := range files {
-		next <- f
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
+	errs := make([]error, len(files))
+	sem := make(chan struct{}, 8)
+	var wg sync.WaitGroup
+	for i, path := range files {
 		wg.Add(1)
+		sem <- struct{}{}
 		go func() {
-			defer wg.Done()
-			for path := range next {
-				f, err := os.Open(path)
-				if err == nil {
-					err = f.Sync()
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					errOnce.Do(func() { firstErr = fmt.Errorf("checkpoint: syncing %s: %w", path, err) })
-				}
-			}
+			defer func() { <-sem; wg.Done() }()
+			errs[i] = fsync(path)
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
 	// Directories last, deepest first, so a directory's entries are
 	// durable before the directory itself is.
 	for i := len(dirs) - 1; i >= 0; i-- {
-		if err := SyncDir(dirs[i]); err != nil {
-			return err
-		}
+		errs = append(errs, fsync(dirs[i]))
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 func mustJSON(v any) []byte {
@@ -358,51 +324,4 @@ func mustJSON(v any) []byte {
 		panic(err) // Manifest is a fixed struct of scalars; cannot fail
 	}
 	return data
-}
-
-// Hasher folds config fields into the Manifest's ConfigHash (FNV-1a
-// 64-bit). Engines hash every output-shaping field in a fixed order;
-// Workers is deliberately never hashed — width does not change output,
-// so a run may resume at a different width.
-type Hasher struct {
-	h uint64
-}
-
-// NewHasher returns a Hasher at the FNV-1a offset basis.
-func NewHasher() *Hasher { return &Hasher{h: 14695981039346656037} }
-
-func (h *Hasher) byte(b byte) {
-	h.h ^= uint64(b)
-	h.h *= 1099511628211
-}
-
-// Uint64 folds v.
-func (h *Hasher) Uint64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v >> (8 * i)))
-	}
-}
-
-// Int folds v.
-func (h *Hasher) Int(v int) { h.Uint64(uint64(v)) }
-
-// Float64 folds the IEEE-754 bits of v.
-func (h *Hasher) Float64(v float64) { h.Uint64(math.Float64bits(v)) }
-
-// String folds s length-prefixed, so ("ab","c") and ("a","bc") differ.
-func (h *Hasher) String(s string) {
-	h.Int(len(s))
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
-	}
-}
-
-// Sum returns the hash accumulated so far.
-func (h *Hasher) Sum() uint64 { return h.h }
-
-// HashBytes is a convenience for one-shot hashing of raw bytes.
-func HashBytes(data []byte) uint64 {
-	f := fnv.New64a()
-	f.Write(data)
-	return f.Sum64()
 }

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/i2pstudy/i2pstudy/internal/churn"
 	"github.com/i2pstudy/i2pstudy/internal/obs"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 func manifest() Manifest {
@@ -16,7 +18,8 @@ func manifest() Manifest {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir(), manifest())
+	dir := t.TempDir()
+	s, err := Open(dir, manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +34,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("Load = %q ok=%v err=%v", data, ok, err)
 	}
 	// No staging orphan left behind by a clean commit.
-	entries, _ := os.ReadDir(s.Dir())
+	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
 		if e.Name() != manifestName && e.Name() != "row-001" {
 			t.Fatalf("unexpected file %s", e.Name())
@@ -128,8 +131,8 @@ func TestCorruptManifestRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, manifest()); err == nil {
-		t.Fatal("Open accepted a corrupt manifest")
+	if _, err := Open(dir, manifest()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open on a corrupt manifest: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -187,25 +190,263 @@ func TestExists(t *testing.T) {
 }
 
 func TestHasherDistinguishesFieldBoundaries(t *testing.T) {
-	sum := func(fold func(h *Hasher)) uint64 {
-		h := NewHasher()
-		fold(h)
-		return h.Sum()
-	}
-	a := sum(func(h *Hasher) { h.String("ab"); h.String("c") })
-	b := sum(func(h *Hasher) { h.String("a"); h.String("bc") })
-	if a == b {
+	type pair struct{ A, B string }
+	if HashConfig(pair{"ab", "c"}) == HashConfig(pair{"a", "bc"}) {
 		t.Fatal("length-prefixed strings collided across boundaries")
 	}
-	if sum(func(h *Hasher) { h.Int(1) }) == sum(func(h *Hasher) { h.Int(2) }) {
+	if HashConfig("ab", "c") == HashConfig("a", "bc") {
+		t.Fatal("length-prefixed configs collided across boundaries")
+	}
+	if HashConfig(1) == HashConfig(2) {
 		t.Fatal("ints collided")
 	}
-	if sum(func(h *Hasher) { h.Float64(0.1) }) == sum(func(h *Hasher) { h.Float64(0.2) }) {
+	if HashConfig(0.1) == HashConfig(0.2) {
 		t.Fatal("floats collided")
 	}
-	if sum(func(h *Hasher) { h.Uint64(7) }) != sum(func(h *Hasher) { h.Uint64(7) }) {
+	if HashConfig(uint64(7)) != HashConfig(uint64(7)) {
 		t.Fatal("hash not deterministic")
 	}
+}
+
+// shape is a synthetic config covering every kind HashConfig walks,
+// including unexported fields reached through an interface.
+type shape struct {
+	B       bool
+	I       int
+	I8      int8
+	U       uint32
+	F       float64
+	F32     float32
+	S       string
+	Slice   []int
+	Arr     [2]string
+	Ptr     *inner
+	Iface   any
+	Nested  inner
+	Workers int `checkpoint:"-"`
+}
+
+type inner struct {
+	name  string
+	cost  float64
+	ids   []uint64
+	child *inner
+}
+
+func newShape() shape {
+	return shape{
+		B: true, I: -3, I8: 4, U: 5, F: 0.25, F32: 1.5, S: "s",
+		Slice:  []int{1, 2},
+		Arr:    [2]string{"x", "y"},
+		Ptr:    &inner{name: "p", ids: []uint64{9}},
+		Iface:  &inner{name: "hidden", cost: 40, child: &inner{name: "leaf"}},
+		Nested: inner{name: "n", cost: 2},
+	}
+}
+
+func TestHashConfigWalksEveryKind(t *testing.T) {
+	base := HashConfig(newShape())
+	if got := HashConfig(newShape()); got != base {
+		t.Fatalf("equal values built separately hash %x and %x", got, base)
+	}
+	excluded := newShape()
+	excluded.Workers = 64
+	if HashConfig(excluded) != base {
+		t.Fatal(`a checkpoint:"-" field changed the hash`)
+	}
+	muts := map[string]func(*shape){
+		"bool":                   func(s *shape) { s.B = false },
+		"int":                    func(s *shape) { s.I++ },
+		"int8":                   func(s *shape) { s.I8++ },
+		"uint":                   func(s *shape) { s.U++ },
+		"float64":                func(s *shape) { s.F += 1 },
+		"float32":                func(s *shape) { s.F32 += 1 },
+		"string":                 func(s *shape) { s.S += "x" },
+		"slice element":          func(s *shape) { s.Slice[1]++ },
+		"slice length":           func(s *shape) { s.Slice = s.Slice[:1] },
+		"array element":          func(s *shape) { s.Arr[0] = "z" },
+		"nil pointer":            func(s *shape) { s.Ptr = nil },
+		"pointer target":         func(s *shape) { s.Ptr.ids[0]++ },
+		"nil interface":          func(s *shape) { s.Iface = nil },
+		"interface dynamic type": func(s *shape) { s.Iface = inner{name: "hidden", cost: 40} },
+		"unexported via interface": func(s *shape) {
+			s.Iface.(*inner).cost = 41
+		},
+		"unexported via interface chain": func(s *shape) {
+			s.Iface.(*inner).child.name = "other"
+		},
+		"nested unexported": func(s *shape) { s.Nested.name = "m" },
+	}
+	for name, mut := range muts {
+		s := newShape()
+		mut(&s)
+		if HashConfig(s) == base {
+			t.Errorf("%s: changing it left the hash unchanged", name)
+		}
+	}
+}
+
+// TestHashConfigWalksNetworkOverrides pins the network config's
+// pointer-held overrides into the hash by value: two separately built
+// copies agree, and a single churn or observation constant differs.
+func TestHashConfigWalksNetworkOverrides(t *testing.T) {
+	build := func() sim.Config {
+		ch, ob := churn.DefaultConfig(), sim.DefaultObservation()
+		return sim.Config{Seed: 1, Days: 40, TargetDailyPeers: 300, Churn: &ch, Observation: &ob}
+	}
+	base := HashConfig(build())
+	if HashConfig(build()) != base {
+		t.Fatal("equal network configs built separately hash differently")
+	}
+	for name, mut := range map[string]func(*sim.Config){
+		"seed":        func(c *sim.Config) { c.Seed++ },
+		"churn":       func(c *sim.Config) { c.Churn.IPv6Frac += 0.01 },
+		"observation": func(c *sim.Config) { c.Observation.HiddenAffinity += 0.01 },
+		"default":     func(c *sim.Config) { c.Churn = nil },
+	} {
+		c := build()
+		mut(&c)
+		if HashConfig(c) == base {
+			t.Errorf("%s: changing it left the hash unchanged", name)
+		}
+	}
+}
+
+func TestHashConfigPanicsWithPathOnUnhashableKinds(t *testing.T) {
+	type holder struct {
+		Inner struct{ M map[string]int }
+	}
+	cases := map[string]struct {
+		cfg  any
+		path string
+	}{
+		"map":  {holder{}, "checkpoint.holder.Inner.M"},
+		"func": {struct{ Fns []func() }{[]func(){nil}}, ".Fns[0]"},
+		"chan": {struct{ Ch chan int }{}, ".Ch"},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.path) {
+					t.Fatalf("panic %q does not name the field path %q", msg, tc.path)
+				}
+			}()
+			HashConfig(tc.cfg)
+		})
+	}
+}
+
+func TestRowsScatterSpillAndResume(t *testing.T) {
+	const rows = 3
+	dir := t.TempDir()
+	want := []int{10, 11, 12, 13, 14, 15, 16}
+	out := make([]int, len(want))
+	r, err := OpenRows(dir, manifest(), out, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Finish every cell of rows 0 and 2; row 1 stays open.
+	for i := range want {
+		if i%rows == 1 {
+			continue
+		}
+		out[i] = want[i]
+		if err := r.Finish(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !r.Done(0) || r.Done(1) || !r.Done(2) {
+		t.Fatalf("Done = %v %v %v, want true false true", r.Done(0), r.Done(1), r.Done(2))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "row-001")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("unfinished row was spilled: %v", err)
+	}
+	resumed := make([]int, len(want))
+	r2, err := OpenRows(dir, manifest(), resumed, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if i%rows == 1 {
+			if r2.Done(1) || resumed[i] != 0 {
+				t.Fatalf("open row 1 resumed as done (cell %d = %d)", i, resumed[i])
+			}
+			continue
+		}
+		if resumed[i] != want[i] {
+			t.Fatalf("resumed cell %d = %d, want %d", i, resumed[i], want[i])
+		}
+	}
+	if !r2.Done(0) || !r2.Done(2) {
+		t.Fatal("loaded rows not reported done")
+	}
+}
+
+func TestRowsWithoutDirStillCountsDown(t *testing.T) {
+	out := make([]int, 4)
+	r, err := OpenRows("", manifest(), out, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		if r.Done(i % 2) {
+			t.Fatalf("row %d done before its cells ran", i%2)
+		}
+		if err := r.Finish(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !r.Done(0) || !r.Done(1) {
+		t.Fatal("finished rows not reported done")
+	}
+}
+
+func TestRowsRefuseCorruptUnits(t *testing.T) {
+	for name, unit := range map[string]string{
+		"truncated":    "[1,",
+		"wrong length": "[1,2,3]",
+		"wrong type":   `["a","b"]`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := Open(dir, manifest()); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "row-000"), []byte(unit), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenRows(dir, manifest(), make([]int, 4), 2); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("OpenRows on a %s unit: err = %v, want ErrCorrupt", name, err)
+			}
+		})
+	}
+}
+
+// FuzzOpenRows feeds arbitrary bytes to OpenRows as the manifest and as
+// a row unit: it must accept them, refuse them as another run's state,
+// or report them corrupt — never panic or fail any other way.
+func FuzzOpenRows(f *testing.F) {
+	valid := mustJSON(manifest())
+	f.Add(valid, []byte("[1,2]"))
+	f.Add(valid, []byte("[1,"))
+	f.Add(valid, []byte("[1,2,3]"))
+	f.Add([]byte(`{"engine":"other"}`), []byte("[1,2]"))
+	f.Add([]byte("{"), []byte("null"))
+	f.Fuzz(func(t *testing.T, man, row []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), man, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "row-000"), row, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenRows(dir, manifest(), make([]int, 4), 2)
+		var mm *MismatchError
+		if err != nil && !errors.As(err, &mm) && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("OpenRows: unexpected error %v", err)
+		}
+	})
 }
 
 func TestObsCountersTrackSpillAndResume(t *testing.T) {

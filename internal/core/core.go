@@ -24,17 +24,14 @@ import (
 // Result encoding or the unit keying changes.
 const runAllVersion = 1
 
-// checkpointManifest identifies this study for resume purposes. The
-// experiment set is not hashed: units are keyed by experiment ID, so
-// running different subsets against one directory is safe and useful.
+// checkpointManifest identifies this study for resume purposes: the
+// network config and Options. The experiment set is not hashed: units
+// are keyed by experiment ID, so subsets may share one directory.
 func (s *Study) checkpointManifest() checkpoint.Manifest {
-	h := checkpoint.NewHasher()
-	measure.HashNetwork(h, s.Net)
-	h.Int(s.Opts.MainFleetSize)
 	return checkpoint.Manifest{
 		Engine:     "core.Study.RunAll",
 		Version:    runAllVersion,
-		ConfigHash: h.Sum(),
+		ConfigHash: checkpoint.HashConfig(s.Net.Config(), s.Opts),
 		Seed:       s.Opts.Seed,
 	}
 }
@@ -56,15 +53,15 @@ type Options struct {
 	// Workers caps the concurrency of the campaign engine and of RunAll.
 	// Zero or negative selects one worker per CPU; 1 forces the serial
 	// reference path. Results are identical for every worker count.
-	Workers int
+	Workers int `checkpoint:"-"`
 	// CheckpointDir, when non-empty, persists each finished experiment's
 	// Result so an interrupted RunAll resumes by loading completed
 	// experiments instead of re-running them. The directory is keyed by
-	// a manifest over (seed, network shape, fleet size, engine version);
-	// resuming against state from a different study fails with a
-	// *checkpoint.MismatchError. Workers is excluded from the key — a
-	// study may resume at any width.
-	CheckpointDir string
+	// a manifest over every other option, the network config and the
+	// engine version; resuming against state from a different study
+	// fails with a *checkpoint.MismatchError. Workers is excluded from
+	// the key — a study may resume at any width.
+	CheckpointDir string `checkpoint:"-"`
 }
 
 // DefaultOptions returns the 1/10-scale configuration used by tests and

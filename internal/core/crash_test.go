@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
+	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // crashIDs are cheap censorship experiments: enough of them that a
@@ -48,4 +50,18 @@ func TestRunAllCrashResume(t *testing.T) {
 			return res, nil
 		},
 	}})
+}
+
+// TestRunAllManifestCoversOptions asserts every Options field but
+// Workers and CheckpointDir reaches the study's checkpoint manifest.
+func TestRunAllManifestCoversOptions(t *testing.T) {
+	net, err := sim.New(sim.Config{Seed: 3, Days: 40, TargetDailyPeers: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Workers, opts.CheckpointDir = 2, "ckpt"
+	enginetest.ManifestCovers(t, opts, func(opts Options) checkpoint.Manifest {
+		return (&Study{Opts: opts, Net: net}).checkpointManifest()
+	})
 }

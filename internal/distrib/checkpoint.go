@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/faults"
@@ -12,86 +11,36 @@ import (
 // Checkpoint-format versions; bump when a result encoding or unit
 // keying changes.
 const (
-	sweepVersion      = 1
+	sweepVersion      = 2
 	trustSweepVersion = 1
 )
 
-// hashEnumerator folds an enumerator's coordinates — the same fields
-// cell/row seeds derive from.
-func hashEnumerator(h *checkpoint.Hasher, e Enumerator) {
-	h.Uint64(uint64(e.Kind))
-	h.Float64(e.Budget)
-	h.Float64(e.InsiderFrac)
-}
-
 // checkpointManifest identifies this arms-race sweep for resume
-// purposes: network shape plus every grid axis and pool knob. Workers
-// is excluded — a sweep may resume at any width.
+// purposes: the network config plus the whole config, Workers excluded.
 func (s *Sweep) checkpointManifest() checkpoint.Manifest {
-	h := checkpoint.NewHasher()
-	measure.HashNetwork(h, s.Net)
-	h.Int(int(s.Cfg.Strategy))
-	h.Int(len(s.Cfg.Distributors))
-	for _, d := range s.Cfg.Distributors {
-		h.String(d.Name())
-		h.Float64(d.IdentityCost())
-	}
-	h.Int(len(s.Cfg.Enumerators))
-	for _, e := range s.Cfg.Enumerators {
-		hashEnumerator(h, e)
-	}
-	h.Int(len(s.Cfg.Days))
-	for _, d := range s.Cfg.Days {
-		h.Int(d)
-	}
-	h.Int(s.Cfg.HorizonDays)
-	h.Int(s.Cfg.Users)
-	h.Int(s.Cfg.IntroducersPerBridge)
-	h.Int(s.Cfg.MaxResources)
 	return checkpoint.Manifest{
 		Engine:     "distrib.Sweep",
 		Version:    sweepVersion,
-		ConfigHash: h.Sum(),
+		ConfigHash: checkpoint.HashConfig(s.Net.Config(), s.Cfg),
 		Seed:       s.Cfg.SeedBase,
 	}
 }
 
-// cellKey names the checkpoint unit holding one completed cell. Cells
-// checkpoint individually — they carry no rolling state, so the cell is
-// the natural atom (and the grid's coordinates are manifest-hashed, so
-// index keys are stable).
-func cellKey(i int) string { return fmt.Sprintf("cell-%05d", i) }
-
-// RunCheckpointed is Run with crash safety: when dir is non-empty,
-// every completed cell spills its CellResult to a checkpoint.Store
-// there, and a rerun over the same directory loads finished cells
-// instead of re-simulating their arms race. Resuming against state from
-// a different sweep fails with a *checkpoint.MismatchError. Interrupted
-// or not, the returned slice is byte-identical to an uninterrupted Run
-// at any Workers value.
+// RunCheckpointed is Run with crash safety: when dir is non-empty, each
+// completed cell spills there as a one-cell checkpoint.Rows row (cells
+// carry no rolling state, so the cell is the natural atom), and a rerun
+// loads finished cells instead of re-simulating their arms race.
+// Interrupted or not, the result is byte-identical to an uninterrupted
+// Run at any Workers value.
 func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, error) {
 	cells := s.Cells()
 	results := make([]CellResult, len(cells))
-
-	var store *checkpoint.Store
-	done := make([]bool, len(cells))
-	if dir != "" {
-		var err error
-		store, err = checkpoint.Open(dir, s.checkpointManifest())
-		if err != nil {
-			return nil, err
-		}
-		for i := range cells {
-			ok, err := store.LoadJSON(cellKey(i), &results[i])
-			if err != nil {
-				return nil, err
-			}
-			done[i] = ok
-		}
+	spill, err := checkpoint.OpenRows(dir, s.checkpointManifest(), results, len(cells))
+	if err != nil {
+		return nil, err
 	}
-
-	err := measure.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
-		if done[i] {
+	err = measure.FanOut(ctx, len(cells), s.Cfg.Workers, func(i int) error {
+		if spill.Done(i) {
 			return nil // resumed cell: result already loaded
 		}
 		res, err := s.runCell(cells[i])
@@ -99,10 +48,8 @@ func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, 
 			return err
 		}
 		results[i] = res
-		if store != nil {
-			if err := store.SaveJSON(cellKey(i), res); err != nil {
-				return err
-			}
+		if err := spill.Finish(i); err != nil {
+			return err
 		}
 		return faults.Hit("distrib.sweep.cell")
 	})
@@ -112,94 +59,36 @@ func (s *Sweep) RunCheckpointed(ctx context.Context, dir string) ([]CellResult, 
 	return results, nil
 }
 
-// checkpointManifest identifies this trust sweep for resume purposes.
-// Workers is excluded — a sweep may resume at any width.
+// checkpointManifest identifies this trust sweep for resume purposes:
+// the network config plus the whole config, Workers excluded.
 func (s *TrustSweep) checkpointManifest() checkpoint.Manifest {
-	h := checkpoint.NewHasher()
-	measure.HashNetwork(h, s.Net)
-	h.Int(int(s.Cfg.Strategy))
-	h.Int(len(s.Cfg.Distributors))
-	for _, d := range s.Cfg.Distributors {
-		h.String(d.Name())
-		h.Float64(d.IdentityCost())
-		h.Int(d.Graph().Len())
-	}
-	h.Int(len(s.Cfg.Enumerators))
-	for _, e := range s.Cfg.Enumerators {
-		hashEnumerator(h, e)
-	}
-	h.Int(s.Cfg.Day)
-	h.Int(s.Cfg.HorizonDays)
-	h.Int(s.Cfg.IntroducersPerBridge)
-	h.Int(s.Cfg.MaxResources)
 	return checkpoint.Manifest{
 		Engine:     "distrib.TrustSweep",
 		Version:    trustSweepVersion,
-		ConfigHash: h.Sum(),
+		ConfigHash: checkpoint.HashConfig(s.Net.Config(), s.Cfg),
 		Seed:       s.Cfg.SeedBase,
 	}
 }
 
-// trustRowKey names the checkpoint unit holding one completed
-// (distributor, enumerator) row — the whole horizon in day order. Rows
-// are the trust grid's atom: a row's day h state is day h-1's plus one
-// step, so a partial row is worthless for resume (the replay would have
-// to run anyway) while a complete row skips its entire simulation.
-func trustRowKey(row int) string { return fmt.Sprintf("row-%03d", row) }
-
-// RunCheckpointed is Run with crash safety: when dir is non-empty,
-// every completed (distributor, enumerator) row spills its results to a
-// checkpoint.Store there, and a rerun over the same directory loads
-// finished rows instead of replaying them — skipped rows never even
-// build their trustState. Resuming against state from a different sweep
-// fails with a *checkpoint.MismatchError. Interrupted or not, the
-// returned slice is byte-identical to an uninterrupted Run at any
-// Workers value.
+// RunCheckpointed is Run with crash safety: when dir is non-empty, each
+// completed (distributor, enumerator) row spills to a checkpoint.Rows
+// there, and a rerun loads finished rows instead of replaying them. A
+// row's day h state is day h-1's plus one step, so a partial row is
+// worthless for resume, while a complete one never builds its
+// trustState. Interrupted or not, the result is byte-identical to an
+// uninterrupted Run at any Workers value.
 func (s *TrustSweep) RunCheckpointed(ctx context.Context, dir string) ([]TrustCellResult, error) {
 	cells := s.Cells()
-	rows := len(s.Cfg.Enumerators) * len(s.Cfg.Distributors)
 	results := make([]TrustCellResult, len(cells))
-
-	var store *checkpoint.Store
-	done := make([]bool, rows)
-	if dir != "" {
-		var err error
-		store, err = checkpoint.Open(dir, s.checkpointManifest())
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < rows; r++ {
-			var saved []TrustCellResult
-			ok, err := store.LoadJSON(trustRowKey(r), &saved)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			if len(saved) != s.Cfg.HorizonDays+1 {
-				return nil, fmt.Errorf("distrib: checkpoint row %d has %d cells, grid expects %d",
-					r, len(saved), s.Cfg.HorizonDays+1)
-			}
-			for j, res := range saved {
-				results[r+j*rows] = res
-			}
-			done[r] = true
-		}
-	}
-
-	// left[r] counts row r's cells still to compute. FanRows runs each
-	// plan row on exactly one goroutine, and plan row r holds exactly the
-	// cells with i % rows == r, so this plain countdown needs no atomics
-	// and reaches zero once, on the worker that ran the row's last cell.
-	left := make([]int, rows)
-	for i := range cells {
-		left[i%rows]++
+	rows := len(s.Cfg.Enumerators) * len(s.Cfg.Distributors)
+	spill, err := checkpoint.OpenRows(dir, s.checkpointManifest(), results, rows)
+	if err != nil {
+		return nil, err
 	}
 	states := make([]*trustState, rows)
-	err := measure.FanRows(ctx, s.rowPlan(cells), s.Cfg.Workers, func(row, i int) error {
+	err = measure.FanRows(ctx, s.rowPlan(cells), s.Cfg.Workers, func(row, i int) error {
 		c := cells[i]
-		if done[row] {
+		if spill.Done(row) {
 			return nil // resumed row: results already loaded, no state built
 		}
 		if states[row] == nil {
@@ -207,14 +96,8 @@ func (s *TrustSweep) RunCheckpointed(ctx context.Context, dir string) ([]TrustCe
 		}
 		states[row].advanceTo(c.Day)
 		results[i] = states[row].result(c)
-		if left[row]--; left[row] == 0 && store != nil {
-			saved := make([]TrustCellResult, 0, s.Cfg.HorizonDays+1)
-			for j := row; j < len(cells); j += rows {
-				saved = append(saved, results[j])
-			}
-			if err := store.SaveJSON(trustRowKey(row), saved); err != nil {
-				return err
-			}
+		if err := spill.Finish(i); err != nil {
+			return err
 		}
 		return faults.Hit("distrib.trustsweep.cell")
 	})

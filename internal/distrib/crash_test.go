@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -76,21 +77,95 @@ func TestTrustSweepCheckpointSpillsEachRowOnce(t *testing.T) {
 		if got := reg.Counter("i2p_checkpoint_rows_written_total", "").Load(); got != uint64(rows) {
 			t.Fatalf("Workers=%d: %d units written, want one per row (%d)", w, got, rows)
 		}
-		store, err := checkpoint.Open(dir, sw.checkpointManifest())
+		// Reopening the directory loads every row back into its cells.
+		resumed := make([]TrustCellResult, len(res))
+		store, err := checkpoint.OpenRows(dir, sw.checkpointManifest(), resumed, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < rows; r++ {
-			var saved, want []TrustCellResult
-			if ok, err := store.LoadJSON(trustRowKey(r), &saved); err != nil || !ok {
-				t.Fatalf("Workers=%d: row %d unit missing (ok=%v, err=%v)", w, r, ok, err)
-			}
-			for i := r; i < len(res); i += rows {
-				want = append(want, res[i])
-			}
-			if !reflect.DeepEqual(saved, want) {
-				t.Fatalf("Workers=%d: row %d unit differs from the run's results", w, r)
+			if !store.Done(r) {
+				t.Fatalf("Workers=%d: row %d unit missing", w, r)
 			}
 		}
+		if !reflect.DeepEqual(resumed, res) {
+			t.Fatalf("Workers=%d: row units differ from the run's results", w)
+		}
 	}
+}
+
+// refusesResume runs first into a fresh checkpoint directory, then
+// requires second to refuse that directory as another config's state.
+func refusesResume(t *testing.T, first, second func(dir string) error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := first(dir); err != nil {
+		t.Fatal(err)
+	}
+	err := second(dir)
+	var mm *checkpoint.MismatchError
+	if !errors.As(err, &mm) || mm.Field != "config_hash" {
+		t.Fatalf("resume under a changed config: err = %v, want a config_hash *checkpoint.MismatchError", err)
+	}
+}
+
+// TestSweepCheckpointRefusesChangedDistributor pins the distributors'
+// unexported request model into the manifest: a same-name https
+// frontend with another handout size serves different bridges.
+func TestSweepCheckpointRefusesChangedDistributor(t *testing.T) {
+	n := network(t)
+	run := func(d Distributor) func(dir string) error {
+		return func(dir string) error {
+			cfg := testSweepConfig(1)
+			cfg.Distributors, cfg.Days = []Distributor{d}, []int{10}
+			sw, err := NewSweep(n, cfg)
+			if err != nil {
+				return err
+			}
+			_, err = sw.RunCheckpointed(context.Background(), dir)
+			return err
+		}
+	}
+	refusesResume(t, run(NewHTTPS()),
+		run(&ringDist{name: "https", handout: 4, rotationDays: 7, identityCost: 1}))
+}
+
+// TestTrustSweepCheckpointRefusesChangedBanRule pins the trust
+// frontends' banning rule into the manifest: the graph and name stay
+// the same, but a different BanThreshold quarantines other users.
+func TestTrustSweepCheckpointRefusesChangedBanRule(t *testing.T) {
+	n := network(t)
+	run := func(banThreshold float64) func(dir string) error {
+		return func(dir string) error {
+			cfg := testTrustConfig(1)
+			cfg.Distributors = []*TrustSocial{NewTrustSocial(TrustSocialConfig{
+				Name:         "trust-social",
+				Graph:        TrustGraphConfig{Users: 160, Seeds: 4, Seed: 1},
+				BanThreshold: banThreshold,
+			})}
+			sw, err := NewTrustSweep(n, cfg)
+			if err != nil {
+				return err
+			}
+			_, err = sw.RunCheckpointed(context.Background(), dir)
+			return err
+		}
+	}
+	refusesResume(t, run(2), run(3))
+}
+
+// TestManifestCoversConfig asserts every config field but Workers
+// reaches each distrib engine's checkpoint manifest.
+func TestManifestCoversConfig(t *testing.T) {
+	n := network(t)
+	t.Run("sweep", func(t *testing.T) {
+		enginetest.ManifestCovers(t, testSweepConfig(2), func(cfg SweepConfig) checkpoint.Manifest {
+			return (&Sweep{Net: n, Cfg: cfg}).checkpointManifest()
+		})
+	})
+	t.Run("trust-sweep", func(t *testing.T) {
+		enginetest.ManifestCovers(t, testTrustConfig(2), func(cfg TrustSweepConfig) checkpoint.Manifest {
+			return (&TrustSweep{Net: n, Cfg: cfg}).checkpointManifest()
+		})
+	})
 }

@@ -40,7 +40,7 @@ type SweepConfig struct {
 	// Workers caps engine concurrency: <= 0 one worker per CPU, 1 the
 	// serial reference path. Results are byte-identical either way.
 	// A measure.Workers option passed to NewSweep overrides this field.
-	Workers int
+	Workers int `checkpoint:"-"`
 }
 
 // Cell is one point of the sweep grid.

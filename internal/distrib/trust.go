@@ -257,8 +257,10 @@ func (cfg TrustSocialConfig) withDefaults() TrustSocialConfig {
 // dynamics (rate limits, strikes, bans) only engage under TrustSweep,
 // which owns the mutable per-row state.
 type TrustSocial struct {
-	cfg   TrustSocialConfig
-	graph *TrustGraph
+	cfg TrustSocialConfig
+	// graph is NewTrustGraph(cfg.Graph), so the config already
+	// fingerprints it.
+	graph *TrustGraph `checkpoint:"-"`
 }
 
 // NewTrustSocial builds the graph and returns the frontend.

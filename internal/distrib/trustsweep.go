@@ -70,7 +70,7 @@ type TrustSweepConfig struct {
 	// serial reference path. Results are byte-identical either way.
 	// A measure.Workers option passed to NewTrustSweep overrides this
 	// field.
-	Workers int
+	Workers int `checkpoint:"-"`
 }
 
 // TrustCell is one point of the trust grid.

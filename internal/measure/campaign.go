@@ -32,13 +32,13 @@ type CampaignConfig struct {
 	// CLI tools; analyses never read it back. Each day directory appears
 	// atomically (written to a temp dir, then renamed), so an interrupted
 	// campaign never leaves a half-written day behind.
-	SnapshotDir string
+	SnapshotDir string `checkpoint:"-"`
 	// Workers caps the number of days merged concurrently. Zero or
 	// negative selects one worker per CPU; 1 selects the reference
 	// serial path. Every worker count yields a byte-identical Dataset:
 	// captures are deterministic per (observer seed, day), every path
 	// merges a day with the same rule, and days fold in ascending order.
-	Workers int
+	Workers int `checkpoint:"-"`
 	// CheckpointDir, when non-empty, spills each completed day's merged
 	// observations to a checkpoint.Store so an interrupted campaign
 	// resumes by loading finished days instead of recomputing them. The
@@ -47,7 +47,7 @@ type CampaignConfig struct {
 	// fails with a *checkpoint.MismatchError. Because accumulation
 	// always proceeds in ascending day order, a resumed run's Dataset is
 	// byte-identical to an uninterrupted one at any Workers value.
-	CheckpointDir string
+	CheckpointDir string `checkpoint:"-"`
 }
 
 // DefaultObserverFleet returns the paper's main fleet: count observers at

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/measure/enginetest"
 )
 
@@ -37,4 +38,22 @@ func TestCampaignCrashResume(t *testing.T) {
 			return ds, nil
 		},
 	}})
+}
+
+// TestCampaignManifestCoversConfig asserts every CampaignConfig field
+// but Workers and the output directories reaches the checkpoint
+// manifest.
+func TestCampaignManifestCoversConfig(t *testing.T) {
+	n := parallelTestNet(t)
+	cfg := CampaignConfig{
+		Observers:     DefaultObserverFleet(2),
+		StartDay:      1,
+		EndDay:        8,
+		SnapshotDir:   "snaps",
+		Workers:       2,
+		CheckpointDir: "ckpt",
+	}
+	enginetest.ManifestCovers(t, cfg, func(cfg CampaignConfig) checkpoint.Manifest {
+		return (&Campaign{cfg: cfg, net: n}).checkpointManifest()
+	})
 }

@@ -8,60 +8,19 @@ import (
 
 	"github.com/i2pstudy/i2pstudy/internal/checkpoint"
 	"github.com/i2pstudy/i2pstudy/internal/netdb"
-	"github.com/i2pstudy/i2pstudy/internal/sim"
 )
 
 // campaignVersion is the Campaign engine's checkpoint-format version;
 // bump it when the day-unit encoding or keying changes.
 const campaignVersion = 1
 
-// HashNetwork folds every sim.Network config field that shapes engine
-// output into h. All five engines derive their checkpoint ConfigHash
-// through this helper so "same network" means the same thing
-// everywhere. The network seed is deliberately excluded: it rides the
-// manifest's dedicated Seed field.
-func HashNetwork(h *checkpoint.Hasher, n *sim.Network) {
-	cfg := n.Config()
-	h.Int(cfg.Days)
-	h.Int(cfg.TargetDailyPeers)
-	// Churn and Observation are flat structs of scalars; fold their
-	// dereferenced %+v rendering (never the pointer, which would hash an
-	// address).
-	if cfg.Churn != nil {
-		h.String(fmt.Sprintf("%+v", *cfg.Churn))
-	} else {
-		h.String("churn:default")
-	}
-	if cfg.Observation != nil {
-		h.String(fmt.Sprintf("%+v", *cfg.Observation))
-	} else {
-		h.String("observation:default")
-	}
-}
-
-// checkpointManifest identifies this campaign for resume purposes:
-// network shape, day range, and the full observer fleet config. Workers
-// is excluded — a campaign may resume at any width.
+// checkpointManifest identifies this campaign for resume purposes: the
+// network config plus the whole config but Workers and the directories.
 func (c *Campaign) checkpointManifest() checkpoint.Manifest {
-	h := checkpoint.NewHasher()
-	HashNetwork(h, c.net)
-	h.Int(c.cfg.StartDay)
-	h.Int(c.cfg.EndDay)
-	h.Int(len(c.cfg.Observers))
-	for _, o := range c.cfg.Observers {
-		h.String(o.Name)
-		if o.Floodfill {
-			h.Int(1)
-		} else {
-			h.Int(0)
-		}
-		h.Int(o.SharedKBps)
-		h.Uint64(o.Seed)
-	}
 	return checkpoint.Manifest{
 		Engine:     "measure.Campaign",
 		Version:    campaignVersion,
-		ConfigHash: h.Sum(),
+		ConfigHash: checkpoint.HashConfig(c.net.Config(), c.cfg),
 		Seed:       c.net.Config().Seed,
 	}
 }
